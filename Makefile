@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race fuzz verify e2e-replica e2e-cluster bench-update bench-query clean
+.PHONY: build vet lint test race fuzz verify e2e-replica e2e-cluster bench-update bench-query bench-perf clean
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,19 @@ bench-update:
 # non-gating policy as bench-update.
 bench-query:
 	BENCH_QUERY_JSON=$(CURDIR)/BENCH_query.json QUERYSTATS_JSON=$(CURDIR)/BENCH_querystats.json $(GO) test ./internal/server -run '^TestQueryBenchReport$$' -v -timeout 900s
+
+# bench-perf runs perfbench, the end-to-end benchmark of the real labeld
+# binary over loopback HTTP, once per workload at seed 1 for 30 s, and
+# writes each run's result line (correct, attempted, failed, metrics) into
+# BENCH_perf.json keyed by workload. Informational, like bench-update: CI
+# runs it non-blocking. A claimed gain needs paired runs against the parent
+# commit; see perfbench/README.md.
+bench-perf:
+	@mkdir -p .bench_build; printf '{' > .bench_build/perf.json; sep=''; \
+	for w in cold_queries hot_reads ordered_writes; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 > .bench_build/$$w.out || exit 1; \
+		printf '%s\n  "%s": %s' "$$sep" $$w "$$(tail -n 1 .bench_build/$$w.out)" >> .bench_build/perf.json; sep=','; \
+	done; printf '\n}\n' >> .bench_build/perf.json; mv .bench_build/perf.json BENCH_perf.json
 
 # clean removes build products and stray test data directories.
 clean:

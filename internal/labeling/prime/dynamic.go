@@ -166,7 +166,7 @@ func (l *Labeling) InsertChildAt(parent *xmltree.Node, idx int, n *xmltree.Node)
 		pl.exp = 0
 		pl.selfPrime = l.nextNonLeafPrime(parent)
 		pl.selfCache = nil
-		pl.deriveFrom(l.labels[parent.Parent])
+		l.derive(pl, l.labels[parent.Parent])
 		relabeled++
 	}
 	if err := parent.InsertChildAt(idx, n); err != nil {
@@ -174,7 +174,7 @@ func (l *Labeling) InsertChildAt(parent *xmltree.Node, idx int, n *xmltree.Node)
 	}
 	nl := &nodeLabel{}
 	l.assignLeafSelf(n, nl)
-	nl.deriveFrom(pl)
+	l.derive(nl, pl)
 	l.labels[n] = nl
 	relabeled++
 	if l.sct != nil {
@@ -227,7 +227,7 @@ func (l *Labeling) WrapNode(target, wrapper *xmltree.Node) (int, error) {
 		return 0, err
 	}
 	wl := &nodeLabel{selfPrime: l.nextNonLeafPrime(wrapper)}
-	wl.deriveFrom(l.labels[parent])
+	l.derive(wl, l.labels[parent])
 	l.labels[wrapper] = wl
 	relabeled := 1
 	// Future leaf children of wrapper must not reuse target's exponent.
@@ -255,7 +255,7 @@ func (l *Labeling) relabelSubtree(n *xmltree.Node) int {
 	var walk func(m *xmltree.Node)
 	walk = func(m *xmltree.Node) {
 		nl := l.labels[m]
-		nl.deriveFrom(l.labels[m.Parent])
+		l.derive(nl, l.labels[m.Parent])
 		count++
 		for _, c := range m.Children {
 			if c.Kind == xmltree.ElementNode {
@@ -288,6 +288,7 @@ func (l *Labeling) Delete(n *xmltree.Node) error {
 			}
 		}
 		l.freePrime(nl.selfPrime)
+		l.uncount(nl)
 		delete(l.labels, m)
 		delete(l.power2Count, m)
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"primelabel/internal/labeling"
 	"primelabel/internal/order"
@@ -202,6 +203,11 @@ type Labeling struct {
 	fastPath bool
 	// stats, when non-nil, receives IsAncestor outcome counts.
 	stats *AncestorStats
+	// bitCount[b] is the number of live labels exactly b bits wide: the
+	// label-size histogram behind MaxLabelBits. derive and Delete keep it
+	// in step with every label set or dropped, and the slice never ends in
+	// an empty bucket, so its length is one past the widest label.
+	bitCount []int
 }
 
 var _ labeling.Labeling = (*Labeling)(nil)
@@ -316,7 +322,7 @@ func (l *Labeling) assign(n *xmltree.Node, parent *nodeLabel) {
 	default:
 		l.assignLeafSelf(n, nl)
 	}
-	nl.deriveFrom(parent)
+	l.derive(nl, parent)
 	l.labels[n] = nl
 	for _, c := range n.Children {
 		if c.Kind == xmltree.ElementNode {
@@ -488,24 +494,47 @@ func (l *Labeling) IsParent(a, b *xmltree.Node) bool {
 }
 
 // LabelBits implements labeling.Labeling: the bit length of the stored
-// label integer.
+// label integer, cached when the label was set.
 func (l *Labeling) LabelBits(n *xmltree.Node) int {
 	nl, ok := l.labels[n]
 	if !ok {
 		return 0
 	}
-	return nl.label.BitLen()
+	return int(nl.bits)
 }
 
-// MaxLabelBits implements labeling.Labeling.
+// MaxLabelBits implements labeling.Labeling in O(1): the widest label is
+// the top bucket of the maintained label-size histogram, not a walk.
 func (l *Labeling) MaxLabelBits() int {
-	max := 0
-	for _, nl := range l.labels {
-		if b := nl.label.BitLen(); b > max {
-			max = b
-		}
+	if len(l.bitCount) == 0 {
+		return 0
 	}
-	return max
+	return len(l.bitCount) - 1
+}
+
+// derive (re)computes nl's full label from its parent's (see deriveFrom)
+// and moves nl between label-size histogram buckets. Every label the
+// Labeling sets goes through here; nl.label is nil for a node not yet
+// counted.
+func (l *Labeling) derive(nl, parent *nodeLabel) {
+	if nl.label != nil {
+		l.uncount(nl)
+	}
+	nl.deriveFrom(parent)
+	b := int(nl.bits)
+	for len(l.bitCount) <= b {
+		l.bitCount = append(l.bitCount, 0)
+	}
+	l.bitCount[b]++
+}
+
+// uncount drops nl's label from the label-size histogram, trimming empty
+// top buckets so MaxLabelBits stays a length read.
+func (l *Labeling) uncount(nl *nodeLabel) {
+	l.bitCount[nl.bits]--
+	for n := len(l.bitCount); n > 0 && l.bitCount[n-1] == 0; n-- {
+		l.bitCount = l.bitCount[:n-1]
+	}
 }
 
 // OrderOf returns n's global order number (root = 0). Requires TrackOrder.
@@ -541,11 +570,13 @@ func (l *Labeling) SCTable() *order.Table { return l.sct }
 
 // Check verifies every internal invariant: each label is parent label ×
 // self label, self primes are unique, power-of-two exponents are unique per
-// parent, and (when tracking order) the SC table is consistent and agrees
-// with document order. Tests call this after every mutation.
+// parent, the label-size histogram equals a recount of the live labels,
+// and (when tracking order) the SC table is consistent and agrees with
+// document order. Tests call this after every mutation.
 func (l *Labeling) Check() error {
 	seenPrime := make(map[uint64]*xmltree.Node)
 	seenLabel := make(map[string]*xmltree.Node)
+	var recount []int
 	var fail error
 	xmltree.WalkElements(l.doc.Root, func(n *xmltree.Node) bool {
 		nl, ok := l.labels[n]
@@ -569,6 +600,15 @@ func (l *Labeling) Check() error {
 			fail = fmt.Errorf("prime: %s label %v != parent×self %v", xmltree.PathTo(n), nl.label, &want)
 			return false
 		}
+		b := nl.label.BitLen()
+		if int(nl.bits) != b {
+			fail = fmt.Errorf("prime: %s caches %d label bits, label has %d", xmltree.PathTo(n), nl.bits, b)
+			return false
+		}
+		for len(recount) <= b {
+			recount = append(recount, 0)
+		}
+		recount[b]++
 		if nl.selfPrime != 0 {
 			if prev, dup := seenPrime[nl.selfPrime]; dup {
 				fail = fmt.Errorf("prime: self prime %d reused by %s and %s", nl.selfPrime, xmltree.PathTo(prev), xmltree.PathTo(n))
@@ -587,6 +627,9 @@ func (l *Labeling) Check() error {
 	}
 	if len(l.labels) != len(xmltree.Elements(l.doc.Root)) {
 		return fmt.Errorf("prime: %d labels for %d elements", len(l.labels), len(xmltree.Elements(l.doc.Root)))
+	}
+	if !slices.Equal(recount, l.bitCount) {
+		return fmt.Errorf("prime: label-size histogram %v, recount %v", l.bitCount, recount)
 	}
 	if l.sct != nil {
 		if err := l.sct.Verify(); err != nil {

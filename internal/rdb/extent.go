@@ -10,6 +10,7 @@ package rdb
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +36,14 @@ const (
 	// needs only the distinct inner rows, so pair materialization and the
 	// projection's dedup both vanish.
 	planExtentCover = "extent-cover"
+	// planExtentRangeCover is the following/preceding semi-join: without a
+	// positional predicate the union of the per-context answers is one
+	// row range, emitted directly with no pairs.
+	planExtentRangeCover = "extent-range-cover"
+	// planExtentSibling is the sibling join over the extent and depth
+	// columns: a context's siblings are the rows of its parent's run at its
+	// own depth.
+	planExtentSibling = "extent-sibling"
 	// planStackMerge is the label-predicate stack merge (StackTree).
 	planStackMerge = "stack-merge"
 	// planOrderScan is the pairwise order-predicate join (possibly sharded).
@@ -223,6 +232,66 @@ func (t *Table) rangeJoin(ctx, cands RowSet, following bool) Pairs {
 		}
 		for _, i := range cands[:sort.SearchInts(cands, c)] {
 			if t.extent[i] < c {
+				out = append(out, Pair{Out: c, In: i})
+			}
+		}
+	}
+	return out
+}
+
+// rangeCover projects rangeJoin without materializing it, in ascending row
+// order. following(c) is every candidate after extent[c], so the union
+// over the context is every candidate after the smallest context extent.
+// preceding(c) is every candidate whose subtree ends before c, so the
+// union is every candidate whose subtree ends before the last context row
+// (the ancestors of that row are the candidates before it that it drops).
+// Output equals rangeJoin(...).ProjectIn(), byte for byte, and is always a
+// fresh slice: cands may be the tag index.
+func (t *Table) rangeCover(ctx, cands RowSet, following bool) RowSet {
+	if len(ctx) == 0 {
+		return nil
+	}
+	if following {
+		first := t.extent[ctx[0]]
+		for _, c := range ctx[1:] {
+			first = min(first, t.extent[c])
+		}
+		return slices.Clone(cands[sort.SearchInts(cands, first+1):])
+	}
+	last := ctx[len(ctx)-1]
+	before := cands[:sort.SearchInts(cands, last)]
+	out := make(RowSet, 0, len(before))
+	for _, i := range before {
+		if t.extent[i] < last {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// extentSiblings is the sibling join over the structural columns: the
+// siblings of context row c are the rows inside its parent's run
+// (pr, extent[pr]] at c's depth — following ones after c's subtree
+// (> extent[c]), preceding ones before c. No labels, no per-query parent
+// map; output is context-major with candidates ascending, exactly the
+// label-driven siblingJoin's. Only used on ordered tables, where that
+// join cannot fail.
+func (t *Table) extentSiblings(ctx, cands RowSet, following bool) Pairs {
+	var out Pairs
+	for _, c := range ctx {
+		pr, ok := t.rowOf[t.nodes[c].Parent]
+		if !ok {
+			continue // the root has no element siblings
+		}
+		lo, hi := pr+1, c
+		if following {
+			lo, hi = t.extent[c]+1, t.extent[pr]+1
+		}
+		for _, i := range cands[sort.SearchInts(cands, lo):] {
+			if i >= hi {
+				break
+			}
+			if t.depth[i] == t.depth[c] {
 				out = append(out, Pair{Out: c, In: i})
 			}
 		}

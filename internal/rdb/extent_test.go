@@ -3,6 +3,7 @@ package rdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,6 +29,11 @@ var axisQueries = []string{
 	"//line/preceding::speaker",
 	"//scene/following-sibling::scene",
 	"//speech/preceding-sibling::speech",
+	"//speaker/following::line[2]",
+	"//line/preceding::speaker[3]",
+	"//act[2]//following::scene",
+	"//speech/following-sibling::speech[2]",
+	"//line/preceding-sibling::line[1]",
 }
 
 // TestExtentColumnsMatchTreeTruth pins Depth and Extent against values
@@ -138,12 +144,20 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 	if last.JoinPlan != planExtentMerge && last.JoinPlan != planExtentProbe {
 		t.Fatalf("//act//speech[2] join plan = %s, want a pair-producing extent plan", last.JoinPlan)
 	}
-	if _, _, err := ext.ExecPathStringExplain("//speaker/following::line", &ex); err != nil {
-		t.Fatal(err)
-	}
-	last = ex.Steps[len(ex.Steps)-1]
-	if last.JoinPlan != planExtentRange {
-		t.Fatalf("following axis join plan = %s, want %s", last.JoinPlan, planExtentRange)
+	// Order axes likewise: the range cover without a positional predicate,
+	// per-context range scans with one.
+	for q, want := range map[string]string{
+		"//speaker/following::line":        planExtentRangeCover,
+		"//line/preceding::speaker":        planExtentRangeCover,
+		"//speaker/following::line[2]":     planExtentRange,
+		"//scene/following-sibling::scene": planExtentSibling,
+	} {
+		if _, _, err := ext.ExecPathStringExplain(q, &ex); err != nil {
+			t.Fatal(err)
+		}
+		if last = ex.Steps[len(ex.Steps)-1]; last.JoinPlan != want {
+			t.Fatalf("%s join plan = %s, want %s", q, last.JoinPlan, want)
+		}
 	}
 }
 
@@ -174,6 +188,119 @@ func TestDescendantCoverMatchesProjection(t *testing.T) {
 	}
 	if got := tab.descendantCover(ctx, nil); len(got) != 0 {
 		t.Fatalf("cover of empty candidates = %v", got)
+	}
+}
+
+// d8Table builds a warmed Extent table over k replicas of the paper's query
+// corpus D8.
+func d8Table(t testing.TB, k int) *Table {
+	t.Helper()
+	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(datasets.Replicate(datasets.D8(), k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := Build(lab)
+	tab.Plan = Extent
+	tab.Warm()
+	return tab
+}
+
+// TestRangeCoverMatchesProjection holds the following/preceding semi-join
+// to the projection of the pair-producing range join on D8, over contexts
+// that nest (acts contain speeches), sit side by side, or are single rows.
+func TestRangeCoverMatchesProjection(t *testing.T) {
+	tab := d8Table(t, 1)
+	mixed := append(tab.Scan("act"), tab.Scan("speech")...)
+	sort.Ints(mixed)
+	contexts := map[string]RowSet{
+		"acts":          tab.Scan("act"),
+		"acts+speeches": mixed,
+		"one speech":    tab.Scan("speech")[7:8],
+		"last line":     tab.Scan("line")[len(tab.Scan("line"))-1:],
+		"root":          {0},
+	}
+	for name, ctx := range contexts {
+		for _, tag := range []string{"line", "speech", "act", "play"} {
+			cands := tab.Scan(tag)
+			for _, following := range []bool{true, false} {
+				want := tab.rangeJoin(ctx, cands, following).ProjectIn()
+				got := tab.rangeCover(ctx, cands, following)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %s, following=%v: cover %d rows, projection %d rows",
+						name, tag, following, len(got), len(want))
+				}
+			}
+		}
+	}
+	if got := tab.rangeCover(nil, tab.Scan("line"), true); len(got) != 0 {
+		t.Fatalf("cover of an empty context = %v", got)
+	}
+}
+
+// TestExtentSiblingsMatchLabelJoin holds the column-driven sibling join to
+// the label-driven one pair for pair, on contexts that include the root
+// (no siblings) and rows whose siblings have descendants of the same tag
+// at other depths.
+func TestExtentSiblingsMatchLabelJoin(t *testing.T) {
+	tab := d8Table(t, 1)
+	for _, pair := range [][2]string{
+		{"speech", "speech"}, {"act", "act"}, {"line", "line"},
+		{"speaker", "line"}, {"play", "plays"}, {"plays", "plays"},
+	} {
+		ctx, cands := tab.Scan(pair[0]), tab.Scan(pair[1])
+		ctx = append(RowSet{0}, ctx...)
+		for _, following := range []bool{true, false} {
+			want, err := tab.siblingJoin(ctx, cands, following)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tab.extentSiblings(ctx, cands, following)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s→%s following=%v: extent %d pairs, label %d pairs",
+					pair[0], pair[1], following, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestExtentQueryAllocsIndependentOfSize is the allocation guard on the
+// cache-miss path: on a warmed Extent table the executor reads the tag
+// index in place and the semi-joins emit one slice, so the number of
+// allocations a query makes must not grow with the document.
+func TestExtentQueryAllocsIndependentOfSize(t *testing.T) {
+	small, large := d8Table(t, 1), d8Table(t, 4)
+	for _, q := range []string{
+		"//line",
+		"//act[1]//following::speech",
+		"//speech[2]//preceding::line",
+	} {
+		allocs := func(tab *Table) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := tab.ExecPathString(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s: %v allocations at 1 replica, %v at 4", q, a, b)
+		}
+	}
+}
+
+// TestExecPathNeverReturnsTheIndex pins the aliasing rule: a result equal
+// to a tag list is a copy, so a caller's writes cannot reach the index.
+func TestExecPathNeverReturnsTheIndex(t *testing.T) {
+	tab := d8Table(t, 1)
+	want := tab.Scan("line")
+	got, err := tab.ExecPathString("//line")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		got[i] = -1
+	}
+	if again, _ := tab.ExecPathString("//line"); !slices.Equal(again, want) {
+		t.Fatal("writing to a query result changed the tag index")
 	}
 }
 

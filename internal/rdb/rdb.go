@@ -12,6 +12,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"primelabel/internal/labeling"
@@ -457,19 +458,30 @@ func (t *Table) RowOf(n *xmltree.Node) (int, bool) {
 // RowSet is an ordered set of row ids (ascending = document order).
 type RowSet []int
 
-// Scan returns the rows matching a tag name ("*" scans everything).
+// Scan returns the rows matching a tag name ("*" scans everything), as a
+// fresh slice the caller owns.
 func (t *Table) Scan(tag string) RowSet {
-	if tag == "*" {
-		all := make(RowSet, len(t.nodes))
-		for i := range all {
-			all[i] = i
-		}
-		return all
+	rows, shared := t.index(tag)
+	if shared {
+		return slices.Clone(rows)
 	}
-	src := t.byTag[tag]
-	out := make(RowSet, len(src))
-	copy(out, src)
-	return out
+	return rows
+}
+
+// index returns the rows matching a tag name. With shared set, rows is the
+// tag index itself, read in place: the caller must neither write to it nor
+// hand it out, since PatchInsert and PatchDelete rewrite index slices in
+// place. "*" has no index entry, so its rows are built fresh (shared is
+// false).
+func (t *Table) index(tag string) (rows RowSet, shared bool) {
+	if tag != "*" {
+		return t.byTag[tag], true
+	}
+	all := make(RowSet, len(t.nodes))
+	for i := range all {
+		all[i] = i
+	}
+	return all, false
 }
 
 // Nodes resolves a RowSet to its nodes.
@@ -488,18 +500,18 @@ type Pair struct{ Out, In int }
 // Pairs is a join result set.
 type Pairs []Pair
 
-// ProjectIn returns the distinct inner rows in ascending order.
+// ProjectIn returns the distinct inner rows in ascending order: collected
+// into one slice, sorted, and compacted in place.
 func (ps Pairs) ProjectIn() RowSet {
-	seen := make(map[int]bool, len(ps))
-	var out RowSet
-	for _, p := range ps {
-		if !seen[p.In] {
-			seen[p.In] = true
-			out = append(out, p.In)
-		}
+	if len(ps) == 0 {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	out := make(RowSet, len(ps))
+	for i, p := range ps {
+		out[i] = p.In
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // JoinPred decides whether an (outer, inner) node pair joins.
@@ -563,18 +575,25 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 		return nil, errors.New("rdb: empty query")
 	}
 	// ctx == nil denotes the document context before the first step.
+	// Candidate lists are read from the tag index in place; ctx is the index
+	// itself only after a document-context descendant step, and is copied
+	// before it could be returned.
 	var ctx RowSet
+	ctxShared := false
 	atDocument := true
 	for _, step := range q.Steps {
-		cands := t.Scan(step.Name)
+		cands, shared := t.index(step.Name)
 		if len(step.Filters) > 0 {
-			filtered := cands[:0]
+			kept := cands[:0]
+			if shared {
+				kept = make(RowSet, 0, len(cands))
+			}
 			for _, id := range cands {
 				if step.Matches(t.nodes[id]) {
-					filtered = append(filtered, id)
+					kept = append(kept, id)
 				}
 			}
-			cands = filtered
+			cands, shared = kept, false
 		}
 		if stats != nil {
 			stats.Candidates += len(cands)
@@ -587,7 +606,7 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 					next = RowSet{0}
 				}
 			case xpath.AxisDescendant:
-				next = cands
+				next, ctxShared = cands, shared
 			}
 			if step.Pos > 0 {
 				if step.Pos <= len(next) {
@@ -595,6 +614,7 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 				} else {
 					next = nil
 				}
+				ctxShared = false
 			}
 			atDocument = false
 			ctx = next
@@ -616,14 +636,13 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 		}
 		var joined int
 		var plan string
-		if t.Plan == Extent && step.Axis == xpath.AxisDescendant && step.Pos == 0 {
+		ctxShared = false
+		if rows, p, ok := t.semiJoin(ctx, cands, step); ok {
 			// No positional predicate means only the distinct inner rows
-			// survive this step, so the descendant join collapses to an
-			// interval-cover semi-join: no pairs, no projection dedup. For a
-			// semi-join the explain Pairs column equals Emitted.
-			ctx = t.descendantCover(ctx, cands)
-			joined = len(ctx)
-			plan = planExtentCover
+			// survive this step, so the join collapses to a semi-join: no
+			// pairs, no projection dedup. For a semi-join the explain Pairs
+			// column equals Emitted.
+			ctx, joined, plan = rows, len(rows), p
 		} else {
 			pairs, p, err := t.joinStep(ctx, cands, step, stats)
 			if err != nil {
@@ -648,7 +667,30 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 			return nil, nil
 		}
 	}
+	if ctxShared {
+		ctx = slices.Clone(ctx)
+	}
 	return ctx, nil
+}
+
+// semiJoin runs the Extent planner's semi-join for a step whose join output
+// only needs its distinct inner rows (no positional predicate): the
+// interval cover for descendant steps, the range cover for
+// following/preceding on an ordered table. ok is false when the step must
+// produce pairs instead.
+func (t *Table) semiJoin(ctx, cands RowSet, step xpath.Step) (rows RowSet, plan string, ok bool) {
+	if t.Plan != Extent || step.Pos != 0 {
+		return nil, "", false
+	}
+	switch step.Axis {
+	case xpath.AxisDescendant:
+		return t.descendantCover(ctx, cands), planExtentCover, true
+	case xpath.AxisFollowing, xpath.AxisPreceding:
+		if t.ordered {
+			return t.rangeCover(ctx, cands, step.Axis == xpath.AxisFollowing), planExtentRangeCover, true
+		}
+	}
+	return nil, "", false
 }
 
 // joinStep evaluates one non-initial step as a join between the context
@@ -707,11 +749,12 @@ func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step, stats *ExecStats) (
 			return before && !t.lab.IsAncestor(n, c), nil
 		}, stats)
 		return ps, planOrderScan, err
-	case xpath.AxisFollowingSibling:
-		ps, err := t.siblingJoin(ctx, cands, true)
-		return ps, planSiblingIndex, err
-	case xpath.AxisPrecedingSibling:
-		ps, err := t.siblingJoin(ctx, cands, false)
+	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
+		following := step.Axis == xpath.AxisFollowingSibling
+		if t.Plan == Extent && t.ordered {
+			return t.extentSiblings(ctx, cands, following), planExtentSibling, nil
+		}
+		ps, err := t.siblingJoin(ctx, cands, following)
 		return ps, planSiblingIndex, err
 	default:
 		return nil, "", fmt.Errorf("rdb: unsupported axis %v", step.Axis)

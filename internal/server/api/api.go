@@ -212,8 +212,9 @@ type ExplainStep struct {
 	Shards   int  `json:"shards,omitempty"`
 	// JoinPlan is the physical operator the per-step planner chose: "scan"
 	// for the document-context first step, then "nested-loop",
-	// "extent-probe", "extent-merge", "extent-range", "stack-merge",
-	// "order-scan", or "sibling-index".
+	// "extent-probe", "extent-merge", "extent-cover", "extent-range",
+	// "extent-range-cover", "extent-sibling", "stack-merge", "order-scan",
+	// or "sibling-index".
 	JoinPlan string `json:"join_plan,omitempty"`
 }
 

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"primelabel/internal/labeling/prime"
 	"primelabel/internal/server/api"
 	"primelabel/internal/server/persist"
+	"primelabel/internal/xmltree"
 )
 
 // newPersistentStore builds a store writing into dir. Each call simulates
@@ -408,5 +410,55 @@ func TestRecoverAllSchemes(t *testing.T) {
 				t.Errorf("labels differ after recovery:\n got %+v\nwant %+v", q2.Nodes, q.Nodes)
 			}
 		})
+	}
+}
+
+// TestRecoverKeepsLabelWidth checks the maintained label width across a
+// crash: the recovered document is rebuilt from a snapshot plus journal
+// replay, and its MaxLabelBits must equal a full walk over its labels.
+func TestRecoverKeepsLabelWidth(t *testing.T) {
+	dir := t.TempDir()
+	st := newPersistentStore(t, dir, 3) // compact mid-burst: snapshot + replay
+	if _, err := st.Load(context.Background(), "books", api.LoadRequest{
+		XML: sampleXML, TrackOrder: true, PowerOfTwoLeaves: true, ReservedPrimes: -1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	burst(t, st, "books")
+	mustUpdate(t, st, "books", api.UpdateRequest{Op: api.OpInsert, Parent: 3, Index: 0, Tag: "note"})
+	mustUpdate(t, st, "books", api.UpdateRequest{Op: api.OpWrap, Target: 4, Tag: "featured"})
+	want, err := st.Info("books")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := newPersistentStore(t, dir, 3)
+	if _, err := st2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st2.Info("books")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MaxLabelBits != want.MaxLabelBits {
+		t.Errorf("recovered MaxLabelBits = %d, before the crash %d", got.MaxLabelBits, want.MaxLabelBits)
+	}
+	d, err := st2.get("books")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, ok := d.lab.(*prime.Labeling)
+	if !ok {
+		t.Fatalf("recovered labeling is %T, want *prime.Labeling", d.lab)
+	}
+	walk := 0
+	for _, n := range xmltree.Elements(lab.Doc().Root) {
+		walk = max(walk, lab.LabelOf(n).BitLen())
+	}
+	if lab.MaxLabelBits() != walk {
+		t.Errorf("recovered MaxLabelBits = %d, full walk %d", lab.MaxLabelBits(), walk)
+	}
+	if err := lab.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

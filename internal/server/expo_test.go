@@ -215,3 +215,53 @@ func TestExpositionCountersMonotonicAcrossScrapes(t *testing.T) {
 		t.Error("query request counter did not advance with traffic")
 	}
 }
+
+// TestExpositionDocMaxLabelBits checks the per-document width gauge against
+// DocInfo.max_label_bits after an insert widened the labels.
+func TestExpositionDocMaxLabelBits(t *testing.T) {
+	_, c := startTracedServer(t, Config{})
+	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.Info("books")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A chain of inserts under the newest node deepens the document, so
+	// each one widens the widest label.
+	parent := 0
+	for i := 0; i < 4; i++ {
+		resp, err := c.Insert("books", parent, 0, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent = resp.Node
+	}
+	info, err := c.Info("books")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.MaxLabelBits <= before.MaxLabelBits {
+		t.Fatalf("inserts did not widen the labels: %d -> %d bits", before.MaxLabelBits, info.MaxLabelBits)
+	}
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	helped, samples := parseExposition(t, text)
+	if !helped["labeld_doc_max_label_bits"] {
+		t.Error("labeld_doc_max_label_bits has no # HELP line")
+	}
+	found := false
+	for _, s := range samples {
+		if s.family == "labeld_doc_max_label_bits" && s.labels == `{doc="books"}` {
+			found = true
+			if int(s.value) != info.MaxLabelBits {
+				t.Errorf("labeld_doc_max_label_bits = %g, DocInfo.max_label_bits = %d", s.value, info.MaxLabelBits)
+			}
+		}
+	}
+	if !found {
+		t.Error(`labeld_doc_max_label_bits{doc="books"} missing`)
+	}
+}

@@ -22,6 +22,10 @@ var extentParityQueries = []string{
 	"//shelf//following::book",
 	"//book//preceding::shelf",
 	"//book/following-sibling::book",
+	"//book/preceding-sibling::book",
+	"//book/following-sibling::book[2]",
+	"//shelf//following::book[1]",
+	"//book//preceding::shelf[2]",
 }
 
 func FuzzExtentJoinParity(f *testing.F) {

@@ -344,11 +344,13 @@ func (m *Metrics) WriteText(w io.Writer) {
 	}
 }
 
-// WriteCacheMetrics renders the per-document query-cache counter pair in
-// Prometheus exposition format, one hits/misses series per hosted document
-// sorted by name — the two counters a dashboard divides for a per-document
-// hit ratio. Written by the metrics handler after the registry's own
-// series, since the counters live on the documents rather than on Metrics.
+// WriteCacheMetrics renders the per-document block in Prometheus
+// exposition format, one series per hosted document sorted by name: the
+// query-cache counter pair a dashboard divides for a per-document hit
+// ratio, and the widest label gauge, the paper's label-size measure. Each
+// width is read under that document's read lock (an O(1) read for prime
+// labels). Written by the metrics handler after the registry's own
+// series, since the values live on the documents rather than on Metrics.
 func (s *Store) WriteCacheMetrics(w io.Writer) {
 	s.mu.RLock()
 	docs := make([]*document, 0, len(s.docs))
@@ -366,6 +368,13 @@ func (s *Store) WriteCacheMetrics(w io.Writer) {
 	for _, d := range docs {
 		_, misses := d.cache.counters()
 		fmt.Fprintf(w, "labeld_doc_query_cache_misses_total{doc=%q} %d\n", d.name, misses)
+	}
+	fmt.Fprintln(w, "# HELP labeld_doc_max_label_bits Bit length of the document's widest label (gauge), by document.")
+	for _, d := range docs {
+		d.mu.RLock()
+		bits := d.lab.MaxLabelBits()
+		d.mu.RUnlock()
+		fmt.Fprintf(w, "labeld_doc_max_label_bits{doc=%q} %d\n", d.name, bits)
 	}
 }
 

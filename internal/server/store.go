@@ -419,9 +419,9 @@ func (d *document) info() api.DocInfo {
 // integer predicates — while node ids and labels still come from the base
 // table and labeling, so the response is byte-identical either way. A
 // trace carried by ctx records lock_wait, cache_lookup, and (on a miss)
-// xpath_eval spans plus a query_fanout span when the executor sharded work
-// across workers. Every call is also folded into the query-stats registry
-// under the query's normalized shape.
+// xpath_eval and materialize spans plus a query_fanout span when the
+// executor sharded work across workers. Every call is also folded into the
+// query-stats registry under the query's normalized shape.
 func (s *Store) Query(ctx context.Context, name, query string) (*api.QueryResponse, error) {
 	return s.query(ctx, name, query, false)
 }
@@ -511,6 +511,7 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 		})
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	endMaterialize := trace.Start(ctx, trace.StageMaterialize)
 	resp := &api.QueryResponse{
 		Generation: d.gen,
 		Count:      len(rows),
@@ -525,6 +526,7 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 			Text:  n.Text(),
 		}
 	}
+	endMaterialize()
 	d.cache.put(query, d.gen, resp)
 
 	// Build the planner-summary profile on every miss (the query-stats

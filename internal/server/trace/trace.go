@@ -34,6 +34,9 @@ const (
 	StageCacheLookup = "cache_lookup"
 	// StageXPathEval is XPath-subset evaluation against the element table.
 	StageXPathEval = "xpath_eval"
+	// StageMaterialize is a query cache miss turning result rows into node
+	// refs: path, label and text for every row.
+	StageMaterialize = "materialize"
 	// StageQueryFanout is the portion of XPath evaluation spent inside
 	// sharded (parallel) join scans — a subset of xpath_eval's wall time,
 	// recorded from the executor's fan-out stats.
@@ -95,7 +98,7 @@ const (
 // Stages lists every stage name, in rough request order. The server's
 // metric registry builds one histogram per entry at startup.
 var Stages = []string{
-	StageLockWait, StageCacheLookup, StageXPathEval, StageQueryFanout,
+	StageLockWait, StageCacheLookup, StageXPathEval, StageMaterialize, StageQueryFanout,
 	StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
 	StageReindex, StageCodecEncode, StageSnapshotWrite, StageJournalAppend,
 	StageJournalGroupWait, StageJournalFsync, StageReplicaStream,

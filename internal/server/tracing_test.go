@@ -267,3 +267,37 @@ func grepLines(s, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestQueryMissTraceHasMaterialize checks that a cache miss's trace splits
+// evaluation (xpath_eval) from turning rows into node refs (materialize),
+// and that a cache hit, which materializes nothing, records neither.
+func TestQueryMissTraceHasMaterialize(t *testing.T) {
+	_, c := startTracedServer(t, Config{})
+	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
+		t.Fatal(err)
+	}
+	stagesOf := func(id string) map[string]bool {
+		t.Helper()
+		if _, err := c.WithTraceID(id).Query("books", "//book/title"); err != nil {
+			t.Fatal(err)
+		}
+		dump, err := c.TracesByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dump.Traces) != 1 {
+			t.Fatalf("trace %q: %d traces in the ring", id, len(dump.Traces))
+		}
+		stages := map[string]bool{}
+		for _, sp := range dump.Traces[0].Spans {
+			stages[sp.Stage] = true
+		}
+		return stages
+	}
+	if miss := stagesOf("materialize-miss"); !miss[trace.StageXPathEval] || !miss[trace.StageMaterialize] {
+		t.Errorf("cache-miss query trace lacks xpath_eval or materialize: %v", miss)
+	}
+	if hit := stagesOf("materialize-hit"); hit[trace.StageXPathEval] || hit[trace.StageMaterialize] {
+		t.Errorf("cache-hit query trace evaluated or materialized: %v", hit)
+	}
+}
