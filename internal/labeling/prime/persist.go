@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"primelabel/internal/order"
 	"primelabel/internal/primes"
@@ -121,12 +122,18 @@ func (l *Labeling) Marshal(out io.Writer) error {
 	w.bool(o.RecyclePrimes)
 	// Tree + per-element label parts, interleaved in preorder.
 	l.marshalNode(w, l.doc.Root)
-	// childNum counters, keyed by preorder element index.
+	// childNum counters, keyed by preorder element index and written in
+	// index order, so that equal states marshal to equal bytes.
 	idx := xmltree.DocOrderIndex(l.doc)
-	w.uint(len(l.power2Count))
+	counts := make([][2]int, 0, len(l.power2Count))
 	for n, c := range l.power2Count {
-		w.uint(idx[n])
-		w.uint(c)
+		counts = append(counts, [2]int{idx[n], c})
+	}
+	sort.Slice(counts, func(i, j int) bool { return counts[i][0] < counts[j][0] })
+	w.uint(len(counts))
+	for _, e := range counts {
+		w.uint(e[0])
+		w.uint(e[1])
 	}
 	// Prime source.
 	next, reserved, issued := l.src.SnapshotState()

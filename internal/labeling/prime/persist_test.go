@@ -98,6 +98,37 @@ func TestPersistContinuesAfterMutations(t *testing.T) {
 	}
 }
 
+// Equal states must marshal to equal bytes, including Opt2's per-parent
+// leaf counters, which live in a map: a snapshot of the same op sequence is
+// then byte-identical across runs, and a round trip reproduces it exactly.
+func TestPersistBytesDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	doc := randomTree(rng, 80)
+	l, err := Scheme{Opts: Options{TrackOrder: true, SCChunk: 5, PowerOfTwoLeaves: true, ReservedPrimes: -1}}.New(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.power2Count) < 4 {
+		t.Fatalf("only %d Opt2 leaf counters; the test needs several", len(l.power2Count))
+	}
+	marshal := func(l *Labeling) []byte {
+		var buf bytes.Buffer
+		if err := l.Marshal(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := marshal(l)
+	for i := 0; i < 10; i++ {
+		if !bytes.Equal(marshal(l), want) {
+			t.Fatal("marshaling the same labeling twice gave different bytes")
+		}
+	}
+	if !bytes.Equal(marshal(roundTrip(t, l)), want) {
+		t.Fatal("a round trip changed the marshaled bytes")
+	}
+}
+
 func TestPersistOrderSurvives(t *testing.T) {
 	doc, ns := buildTree(t)
 	l, err := Scheme{Opts: Options{TrackOrder: true, SCChunk: 2}}.New(doc)

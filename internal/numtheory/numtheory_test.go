@@ -255,3 +255,77 @@ func TestQuickCRTUniqueSolution(t *testing.T) {
 		}
 	}
 }
+
+// CRTExtend must land on exactly the canonical solution CRTGarner computes
+// for the grown system, one congruence at a time, from the empty system
+// (x = 0 mod 1) up.
+func TestCRTExtendMatchesGarner(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	primePool := []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 65537, 1000003, 2147483647, 4611686018427387847}
+	for trial := 0; trial < 300; trial++ {
+		perm := rng.Perm(len(primePool))
+		x, mod := new(big.Int), big.NewInt(1)
+		var cs []Congruence
+		for _, pi := range perm[:1+rng.Intn(len(perm))] {
+			p := primePool[pi]
+			c := Congruence{Mod: p, Rem: rng.Uint64()} // Rem >= Mod is reduced
+			cs = append(cs, c)
+			if err := CRTExtend(x, mod, c); err != nil {
+				t.Fatalf("trial %d: CRTExtend(%v): %v", trial, c, err)
+			}
+			want, wantMod, err := CRTGarner(cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if x.Cmp(want) != 0 || mod.Cmp(wantMod) != 0 {
+				t.Fatalf("trial %d: CRTExtend gave (%v mod %v), CRTGarner (%v mod %v)", trial, x, mod, want, wantMod)
+			}
+		}
+	}
+}
+
+func TestCRTExtendRejectsSharedFactor(t *testing.T) {
+	x, mod := big.NewInt(3), big.NewInt(10)
+	for _, c := range []Congruence{{Mod: 4, Rem: 1}, {Mod: 5, Rem: 0}, {Mod: 0, Rem: 1}} {
+		if err := CRTExtend(x, mod, c); err == nil {
+			t.Errorf("CRTExtend(3 mod 10, %v) succeeded, want an error", c)
+		}
+		if x.Int64() != 3 || mod.Int64() != 10 {
+			t.Fatalf("failed CRTExtend(%v) changed the system to %v mod %v", c, x, mod)
+		}
+	}
+}
+
+// RemUint64 folds the words of x itself; it must agree with big.Int.Mod on
+// every width, sign and modulus, including x = 0, m = 2 and m near 2⁶⁴.
+func TestRemUint64MatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	mods := []uint64{1, 2, 3, 97, 1 << 32, 1<<32 + 15, 1<<63 - 25, 1 << 63, 1<<64 - 59, 1<<64 - 1}
+	for i := 0; i < 200; i++ {
+		mods = append(mods, 1+rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	for trial := 0; trial < 400; trial++ {
+		x := new(big.Int)
+		if bitLen := rng.Intn(300); bitLen > 0 {
+			x.Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bitLen)))
+		}
+		if trial%4 == 3 {
+			x.Neg(x)
+		}
+		for _, m := range mods {
+			want := new(big.Int).Mod(x, new(big.Int).SetUint64(m)).Uint64()
+			if got := RemUint64(x, m); got != want {
+				t.Fatalf("RemUint64(%v, %d) = %d, want %d", x, m, got, want)
+			}
+		}
+	}
+}
+
+func TestRemUint64AllocFree(t *testing.T) {
+	x, _ := new(big.Int).SetString("123456789012345678901234567890123456789", 10)
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += RemUint64(x, 1000003) }); n != 0 {
+		t.Errorf("RemUint64 allocates %.0f times per call, want 0", n)
+	}
+	_ = sink
+}

@@ -6,10 +6,16 @@
 // order number. A group of up to chunk nodes shares one SC value x solving
 // x ≡ order(v) (mod p(v)) for each member, so a node's order is recovered
 // as x mod p. An order-sensitive insertion bumps the order numbers of every
-// node after the insertion point, but only the affected SC *records* are
-// recomputed — the node labels themselves never change. That is the paper's
-// claim in Figure 18: a handful of record updates versus thousands of
-// relabeled nodes for interval/prefix schemes.
+// node after the insertion point, but only the SC *records* holding a moved
+// node are written — the node labels themselves never change. That is the
+// paper's cost model in Figure 18: one record update counts as one relabel,
+// versus thousands of relabeled nodes for interval/prefix schemes.
+//
+// Each record update is O(1) big-integer work rather than a CRT re-solve. A
+// record whose members all moved by Δ is translated to (x + Δ) mod M, M the
+// product of its primes; the record that receives the new node is extended
+// by one Garner step (numtheory.CRTExtend). Only a record that straddles the
+// shift point or holds a re-keyed member is re-solved from its congruences.
 package order
 
 import (
@@ -41,7 +47,8 @@ var (
 // (SC value, max prime); we additionally cache the member primes and their
 // current order numbers so recomputation is direct. The SC value remains
 // authoritative: Verify recovers every order via SC mod p and checks the
-// cache.
+// cache. sc is always the canonical solution, in [0, mod), where mod is the
+// product of primes; an empty record holds 0 mod 1.
 type record struct {
 	primes   []uint64
 	orders   []int
@@ -50,6 +57,7 @@ type record struct {
 	mod      *big.Int
 }
 
+// recompute re-solves the record's SC value from its congruences.
 func (r *record) recompute() error {
 	cs := make([]numtheory.Congruence, len(r.primes))
 	for i, p := range r.primes {
@@ -147,27 +155,112 @@ func (t *Table) Append(prime uint64) error {
 	if uint64(ord) >= prime {
 		return fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, ord, prime)
 	}
-	r := t.lastOpenRecord()
+	if _, err := t.place(prime, ord); err != nil {
+		return err
+	}
+	t.nextOrd = ord + 1
+	t.lastShift = ShiftInfo{}
+	return nil
+}
+
+// place adds prime with order ord (which must be < prime) to the last
+// record, or to a fresh one when the last is full, as in the paper's Figure
+// 11/12 walkthrough ("search for the largest maximum prime ... and update
+// it"). The record's SC value is extended by one Garner step instead of
+// being re-solved. It returns the record, or an error, with nothing
+// changed, if prime shares a factor with the record's other keys (a fresh
+// record accepts any prime >= 2).
+func (t *Table) place(prime uint64, ord int) (*record, error) {
+	n := len(t.records)
+	if n == 0 || len(t.records[n-1].primes) >= t.chunk {
+		t.records = append(t.records, &record{sc: new(big.Int), mod: big.NewInt(1)})
+		n++
+	}
+	r := t.records[n-1]
+	if err := numtheory.CRTExtend(r.sc, r.mod, numtheory.Congruence{Mod: prime, Rem: uint64(ord)}); err != nil {
+		return nil, err
+	}
 	r.primes = append(r.primes, prime)
 	r.orders = append(r.orders, ord)
 	if prime > r.maxPrime {
 		r.maxPrime = prime
 	}
-	t.byPrime[prime] = len(t.records) - 1
-	t.nextOrd = ord + 1
-	t.lastShift = ShiftInfo{}
-	return r.recompute()
+	t.byPrime[prime] = n - 1
+	return r, nil
 }
 
-// lastOpenRecord returns the last record if it has capacity, otherwise a
-// fresh one.
-func (t *Table) lastOpenRecord() *record {
-	if n := len(t.records); n > 0 && len(t.records[n-1].primes) < t.chunk {
-		return t.records[n-1]
+// shift raises by delta the order number of every member at or after from,
+// re-keying members whose new order outgrows their prime, and brings the SC
+// value of every record it moved up to date. Most such records need no CRT
+// re-solve: if all members moved and none was re-keyed, each congruence
+// x ≡ o (mod p) became x ≡ o+delta (mod p), which x+delta solves, and the
+// solution is unique modulo the record's modulus M — so (sc + delta) mod M is
+// exactly what the re-solve would return. Only a record that straddles from
+// or holds a re-keyed member is re-solved.
+//
+// It returns the number of records written and the last of them (nil when
+// nothing moved), with the key changes appended to rekeys in the order the
+// KeyFunc was called.
+func (t *Table) shift(from, delta int, rekeys []KeyChange) (written int, last *record, _ []KeyChange, err error) {
+	d := big.NewInt(int64(delta))
+	for _, r := range t.records {
+		moved, rekeyed := 0, false
+		for i, o := range r.orders {
+			if o < from {
+				continue
+			}
+			o += delta
+			r.orders[i] = o
+			moved++
+			if uint64(o) >= r.primes[i] {
+				kc, err := t.rekey(r, i)
+				if err != nil {
+					return 0, nil, nil, err
+				}
+				rekeys = append(rekeys, kc)
+				rekeyed = true
+			}
+		}
+		if moved == 0 {
+			continue
+		}
+		written++
+		last = r
+		if moved < len(r.orders) || rekeyed {
+			if err := r.recompute(); err != nil {
+				return 0, nil, nil, err
+			}
+			continue
+		}
+		// While no member outgrew its key, sc+delta < M: a wrap needs
+		// sc = M−k with k ≤ delta < every key p, so each order was p−k and
+		// has now reached p. The Mod keeps the identity exact regardless,
+		// for any delta.
+		r.sc.Add(r.sc, d)
+		if r.sc.Cmp(r.mod) >= 0 {
+			r.sc.Mod(r.sc, r.mod)
+		}
 	}
-	r := &record{}
-	t.records = append(t.records, r)
-	return r
+	return written, last, rekeys, nil
+}
+
+// rekey replaces the i-th member's prime of r, whose order it can no
+// longer encode, with a fresh key. The caller brings r's SC value up to
+// date.
+func (t *Table) rekey(r *record, i int) (KeyChange, error) {
+	if t.newKey == nil {
+		return KeyChange{}, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, r.orders[i], r.primes[i])
+	}
+	np := t.newKey(uint64(r.orders[i]))
+	kc := KeyChange{Old: r.primes[i], New: np}
+	ri := t.byPrime[r.primes[i]]
+	delete(t.byPrime, r.primes[i])
+	t.byPrime[np] = ri
+	r.primes[i] = np
+	if np > r.maxPrime {
+		r.maxPrime = np
+	}
+	return kc, nil
 }
 
 // OrderOf returns the order number of the node whose self-label is prime,
@@ -196,13 +289,15 @@ func (t *Table) Before(pa, pb uint64) (bool, error) {
 
 // Insert registers a newly inserted node with self-label prime at position
 // orderNum (1-based). Every existing node whose order number is >= orderNum
-// is shifted up by one, and each affected SC record is recomputed. The new
-// prime joins the table's last record, as in the paper's Figure 11/12
-// walkthrough ("search for the largest maximum prime ... and update it").
+// is shifted up by one, and each SC record holding a shifted node is updated
+// (see shift). The new prime joins the table's last record, as in the
+// paper's Figure 11/12 walkthrough.
 //
 // It returns the number of SC records written — the paper's re-labeling
-// cost metric for order-sensitive updates — together with any order-key
-// replacements that shifting made necessary (see ErrOrderOverflow).
+// cost metric for order-sensitive updates, which counts the receiving
+// record once even when the shift also wrote it — together with any
+// order-key replacements that shifting made necessary (see
+// ErrOrderOverflow).
 func (t *Table) Insert(prime uint64, orderNum int) (recordsUpdated int, rekeys []KeyChange, err error) {
 	if prime < 2 {
 		return 0, nil, ErrNotPrimeModulus
@@ -221,50 +316,20 @@ func (t *Table) Insert(prime uint64, orderNum int) (recordsUpdated int, rekeys [
 		rekeys = append(rekeys, KeyChange{Old: prime, New: np})
 		prime = np
 	}
-	touched := make(map[*record]bool)
-	// Shift the order numbers of everything at or after the insertion
-	// point, re-keying members whose bumped order outgrows their prime.
-	for _, r := range t.records {
-		for i, o := range r.orders {
-			if o < orderNum {
-				continue
-			}
-			r.orders[i] = o + 1
-			touched[r] = true
-			if uint64(r.orders[i]) >= r.primes[i] {
-				if t.newKey == nil {
-					return 0, nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, r.orders[i], r.primes[i])
-				}
-				np := t.newKey(uint64(r.orders[i]))
-				rekeys = append(rekeys, KeyChange{Old: r.primes[i], New: np})
-				ri := t.byPrime[r.primes[i]]
-				delete(t.byPrime, r.primes[i])
-				t.byPrime[np] = ri
-				r.primes[i] = np
-				if np > r.maxPrime {
-					r.maxPrime = np
-				}
-			}
-		}
+	written, last, rekeys, err := t.shift(orderNum, 1, rekeys)
+	if err != nil {
+		return 0, nil, err
 	}
-	// Place the new congruence in the last record (opening a new one only
-	// when the last is full).
-	r := t.lastOpenRecord()
-	r.primes = append(r.primes, prime)
-	r.orders = append(r.orders, orderNum)
-	if prime > r.maxPrime {
-		r.maxPrime = prime
+	r, err := t.place(prime, orderNum)
+	if err != nil {
+		return 0, nil, err
 	}
-	t.byPrime[prime] = len(t.records) - 1
-	touched[r] = true
+	if r != last {
+		written++
+	}
 	t.nextOrd++
-	for rec := range touched {
-		if err := rec.recompute(); err != nil {
-			return 0, nil, err
-		}
-	}
 	t.lastShift = ShiftInfo{From: orderNum, Delta: 1}
-	return len(touched), rekeys, nil
+	return written, rekeys, nil
 }
 
 // Delete removes the node labeled prime from the table. Deletion never
@@ -272,8 +337,9 @@ func (t *Table) Insert(prime uint64, orderNum int) (recordsUpdated int, rekeys [
 // held the prime is recomputed. A record whose last member is deleted is
 // dropped from the table entirely: CRT over zero congruences solves to the
 // degenerate (SC=0 mod 1) row, which would otherwise sit in the table
-// forever — lastOpenRecord only ever refills the final record, so an empty
-// row in the middle is dead weight for every future shifting insert.
+// forever — insertions only ever refill the final record, so an empty row
+// in the middle is dead weight for every future shifting insert. Only the
+// members of the records after a dropped one are re-indexed.
 func (t *Table) Delete(prime uint64) error {
 	ri, ok := t.byPrime[prime]
 	if !ok {
@@ -289,10 +355,13 @@ func (t *Table) Delete(prime uint64) error {
 	}
 	delete(t.byPrime, prime)
 	if len(r.primes) == 0 {
-		t.records = append(t.records[:ri], t.records[ri+1:]...)
-		for p, idx := range t.byPrime {
-			if idx > ri {
-				t.byPrime[p] = idx - 1
+		n := len(t.records)
+		copy(t.records[ri:], t.records[ri+1:])
+		t.records[n-1] = nil
+		t.records = t.records[:n-1]
+		for _, later := range t.records[ri:] {
+			for _, p := range later.primes {
+				t.byPrime[p]--
 			}
 		}
 		return nil
@@ -377,14 +446,18 @@ type SCRow struct {
 	Members  int
 }
 
-// Verify checks internal consistency: every cached order number matches
-// the one recovered from its record's SC value, all order numbers are
-// distinct, and every prime maps to the record that contains it.
+// Verify checks internal consistency: every SC value lies in [0, mod),
+// every cached order number matches the one recovered from its record's SC
+// value, all order numbers are distinct, and every prime maps to the record
+// that contains it.
 func (t *Table) Verify() error {
 	seen := make(map[int]uint64)
 	for ri, r := range t.records {
 		if len(r.primes) > t.chunk {
 			return fmt.Errorf("order: record %d exceeds chunk size", ri)
+		}
+		if r.sc.Sign() < 0 || r.sc.Cmp(r.mod) >= 0 {
+			return fmt.Errorf("order: record %d SC value %v outside [0, %v)", ri, r.sc, r.mod)
 		}
 		for i, p := range r.primes {
 			got := int(numtheory.RemUint64(r.sc, p))

@@ -60,9 +60,9 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 		return 0, nil, fmt.Errorf("%w: between %d and %d", ErrBadOrder, prevOrder, nextOrder)
 	}
 	spacing := t.Spacing()
-	var ord int
+	var ord, written int
+	var last *record
 	var shift ShiftInfo
-	touched := make(map[*record]bool)
 	switch {
 	case nextOrder == 0:
 		// Append after the current maximum.
@@ -73,23 +73,11 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 	default:
 		// Exhausted gap: shift everything from nextOrder up by spacing,
 		// re-keying members whose bumped order outgrows their prime.
-		shifted := false
-		for _, r := range t.records {
-			for i, o := range r.orders {
-				if o < nextOrder {
-					continue
-				}
-				r.orders[i] = o + spacing
-				touched[r] = true
-				shifted = true
-				if kc, rerr := t.rekeyIfNeeded(r, i); rerr != nil {
-					return 0, nil, rerr
-				} else if kc != nil {
-					rekeys = append(rekeys, *kc)
-				}
-			}
+		written, last, rekeys, err = t.shift(nextOrder, spacing, rekeys)
+		if err != nil {
+			return 0, nil, err
 		}
-		if shifted {
+		if written > 0 {
 			// The global maximum moved up with the shift.
 			t.nextOrd += spacing
 			shift = ShiftInfo{From: nextOrder, Delta: spacing}
@@ -107,45 +95,18 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 		rekeys = append(rekeys, KeyChange{Old: prime, New: np})
 		prime = np
 	}
-	r := t.lastOpenRecord()
-	r.primes = append(r.primes, prime)
-	r.orders = append(r.orders, ord)
-	if prime > r.maxPrime {
-		r.maxPrime = prime
+	r, err := t.place(prime, ord)
+	if err != nil {
+		return 0, nil, err
 	}
-	t.byPrime[prime] = len(t.records) - 1
-	touched[r] = true
+	if r != last {
+		written++
+	}
 	if ord >= t.nextOrd {
 		t.nextOrd = ord + 1
 	}
-	for rec := range touched {
-		if err := rec.recompute(); err != nil {
-			return 0, nil, err
-		}
-	}
 	t.lastShift = shift
-	return len(touched), rekeys, nil
-}
-
-// rekeyIfNeeded replaces the i-th member's prime of r when its order can no
-// longer be encoded, returning the change (nil if none).
-func (t *Table) rekeyIfNeeded(r *record, i int) (*KeyChange, error) {
-	if uint64(r.orders[i]) < r.primes[i] {
-		return nil, nil
-	}
-	if t.newKey == nil {
-		return nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, r.orders[i], r.primes[i])
-	}
-	np := t.newKey(uint64(r.orders[i]))
-	kc := KeyChange{Old: r.primes[i], New: np}
-	ri := t.byPrime[r.primes[i]]
-	delete(t.byPrime, r.primes[i])
-	t.byPrime[np] = ri
-	r.primes[i] = np
-	if np > r.maxPrime {
-		r.maxPrime = np
-	}
-	return &kc, nil
+	return written, rekeys, nil
 }
 
 // maxOrd returns the largest live order value (0 when empty).

@@ -64,7 +64,10 @@ func TestDeleteUntilEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, p := range primes {
+	// Records: [7 11 13] [17 19 23] [29]. Empty the middle record (the
+	// last record's members are re-indexed), then the last (nothing after
+	// it to re-index), then the first.
+	for _, p := range []uint64{19, 17, 23, 29, 11, 7, 13} {
 		if err := tbl.Delete(p); err != nil {
 			t.Fatalf("Delete(%d): %v", p, err)
 		}

@@ -179,7 +179,10 @@ func (s *Store) compact(d *document) {
 	if err := d.journal.Reset(); err != nil {
 		s.metrics.persistErrors.Add(1)
 		s.logger.Error("compaction journal reset failed", "doc", d.name, "err", err)
-		return // harmless: records at or below the snapshot's gen replay as no-ops
+		// A failed truncation is harmless: records at or below the
+		// snapshot's gen replay as no-ops. A failed fsync poisons the
+		// journal, and the next append retires it.
+		return
 	}
 	d.sinceSnap = 0
 	s.logger.Debug("compacted document", "doc", d.name)

@@ -112,6 +112,14 @@ type GroupStats struct {
 // has been released (Close), or a Wait that outlived the journal.
 var ErrJournalClosed = errors.New("persist: journal closed")
 
+// ErrFsyncFailed wraps the first failed fsync of a journal. The failure is
+// sticky: once an fsync has failed, the kernel may have dropped the dirty
+// pages it could not write, so a later fsync can succeed without the lost
+// frames ever reaching the disk. Every later Append, and every Commit of a
+// frame no successful fsync covered, returns the same error; the journal
+// must be retired.
+var ErrFsyncFailed = errors.New("persist: journal fsync failed")
+
 // Journal is the append side of one document's update journal. Append is
 // not safe for concurrent use — the server calls it only inside the
 // document's write-lock critical section, which is also what orders journal
@@ -119,7 +127,8 @@ var ErrJournalClosed = errors.New("persist: journal closed")
 // called after the document lock is released and is safe for any number of
 // concurrent callers: commits for the same journal coalesce onto one fsync
 // (group commit), with one caller elected leader and the rest waiting for
-// its Sync to cover their frames.
+// its Sync to cover their frames. A failed fsync poisons the journal (see
+// ErrFsyncFailed).
 //
 // A journal also supports concurrent tailing readers (the replication
 // stream): SafeLen, Epoch and Wait let a reader holding its own read-only
@@ -142,6 +151,12 @@ type Journal struct {
 	synced  uint64 // frames known to be on stable storage
 	syncing bool   // a leader's fsync is in flight
 	closed  bool
+	// syncErr is the first fsync failure, wrapped in ErrFsyncFailed; nil
+	// while every fsync has succeeded.
+	syncErr error
+	// syncFile performs every fsync after creation; tests substitute it to
+	// inject failures.
+	syncFile func(*os.File) error
 
 	// writtenBytes is the byte length of the complete-frame prefix of the
 	// file (magic header included): it advances only after a frame's Write
@@ -158,7 +173,7 @@ type Journal struct {
 // newJournal wires up a journal over an open file positioned at its end.
 // end is the file's current logical end — the complete-frame prefix length.
 func newJournal(f *os.File, path string, fsync bool, end int64) *Journal {
-	j := &Journal{f: f, path: path, fsync: fsync, writtenBytes: end, syncedBytes: end, epoch: 1}
+	j := &Journal{f: f, path: path, fsync: fsync, writtenBytes: end, syncedBytes: end, epoch: 1, syncFile: (*os.File).Sync}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -235,10 +250,17 @@ func (m *Manager) OpenJournalAt(name string, validEnd int64) (*Journal, error) {
 // includes the returned Seq — callers append inside the document's write
 // lock and commit after releasing it, so fsyncs from concurrent updates can
 // coalesce. A trace carried by ctx receives a journal_append span (marshal +
-// write).
+// write). After a failed fsync it writes nothing and returns the sticky
+// ErrFsyncFailed error.
 func (j *Journal) Append(ctx context.Context, rec Record) (AppendStats, error) {
 	if j.f == nil {
 		return AppendStats{}, ErrJournalClosed
+	}
+	j.mu.Lock()
+	poisoned := j.syncErr
+	j.mu.Unlock()
+	if poisoned != nil {
+		return AppendStats{}, poisoned
 	}
 	endAppend := trace.Start(ctx, trace.StageJournalAppend)
 	payload, err := json.Marshal(rec)
@@ -273,8 +295,11 @@ func (j *Journal) Append(ctx context.Context, rec Record) (AppendStats, error) {
 // trace carried by ctx — and returns without its own fsync when that sync
 // covered seq. Otherwise the caller becomes the leader, fsyncing every frame
 // written so far with one Sync (span: journal_fsync) and waking the
-// followers it covered. Returns an error if the fsync failed or the journal
-// was closed or reset underneath the caller.
+// followers it covered. Returns an error if the journal was closed
+// underneath the caller, or if seq is not covered by a successful fsync and
+// any fsync has failed: the leader's own, an earlier one, or a Reset's. That
+// ErrFsyncFailed error is sticky (see ErrFsyncFailed) — a follower woken by a
+// failed leader never retries the fsync itself.
 func (j *Journal) Commit(ctx context.Context, seq uint64) (GroupStats, error) {
 	if !j.fsync {
 		return GroupStats{}, nil
@@ -292,6 +317,10 @@ func (j *Journal) Commit(ctx context.Context, seq uint64) (GroupStats, error) {
 		j.mu.Unlock()
 		return GroupStats{}, nil
 	}
+	if err := j.syncErr; err != nil {
+		j.mu.Unlock()
+		return GroupStats{}, err
+	}
 	if j.closed {
 		j.mu.Unlock()
 		return GroupStats{}, errors.New("persist: journal closed")
@@ -308,17 +337,21 @@ func (j *Journal) Commit(ctx context.Context, seq uint64) (GroupStats, error) {
 
 	endFsync := trace.Start(ctx, trace.StageJournalFsync)
 	start := time.Now()
-	err := f.Sync()
+	err := j.syncFile(f)
 	d := time.Since(start)
 	endFsync()
 
 	j.mu.Lock()
 	j.syncing = false
-	if err == nil && j.synced < target {
-		j.synced = target
-	}
-	if err == nil && j.syncedBytes < targetBytes {
-		j.syncedBytes = targetBytes
+	if err != nil {
+		err = j.poisonLocked(err)
+	} else {
+		if j.synced < target {
+			j.synced = target
+		}
+		if j.syncedBytes < targetBytes {
+			j.syncedBytes = targetBytes
+		}
 	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
@@ -328,11 +361,22 @@ func (j *Journal) Commit(ctx context.Context, seq uint64) (GroupStats, error) {
 	return GroupStats{Leader: true, Frames: int(covered), FsyncDuration: d}, nil
 }
 
+// poisonLocked records a failed fsync, keeping the first failure, and
+// returns the sticky error. Callers hold j.mu.
+func (j *Journal) poisonLocked(err error) error {
+	if j.syncErr == nil {
+		j.syncErr = fmt.Errorf("%w: %s: %w", ErrFsyncFailed, j.path, err)
+	}
+	return j.syncErr
+}
+
 // Reset truncates the journal to empty. Called after a snapshot has been
 // made durable: every journaled update is now covered by the snapshot, so
-// any in-flight commits are released as satisfied. The truncation bumps the
-// journal's epoch, telling tailing readers their byte offsets are void and
-// they must restart from the freshly written snapshot.
+// any in-flight commits are released as satisfied — unless the truncation's
+// own fsync fails, which poisons the journal like a failed Commit and
+// releases nothing. The truncation bumps the journal's epoch, telling
+// tailing readers their byte offsets are void and they must restart from
+// the freshly written snapshot.
 func (j *Journal) Reset() error {
 	// The mutex is held across the truncation AND the epoch bump: a tailing
 	// reader whose ReadAt hit the shrunken file re-checks Epoch, which
@@ -353,9 +397,13 @@ func (j *Journal) Reset() error {
 	}
 	var err error
 	if j.fsync {
-		err = j.f.Sync()
+		if err = j.syncFile(j.f); err != nil {
+			err = j.poisonLocked(err)
+		}
 	}
-	j.synced = j.written
+	if err == nil {
+		j.synced = j.written
+	}
 	j.writtenBytes = int64(len(journalMagic))
 	j.syncedBytes = int64(len(journalMagic))
 	j.epoch++
