@@ -1,10 +1,11 @@
-# Tier-1 verification flow. `make verify` is what CI and pre-merge checks
-# run: build, vet, the godoc lint over the server packages, the full test
-# suite, the test suite again under the race detector (the server and primes
-# packages are exercised by multi-goroutine tests, so -race is load-bearing,
-# not ceremony), and a short fuzz pass over the journal record codec — the
-# frame scanner is the single parser standing between a crashed process's
-# half-written bytes and the recovery path.
+# Tier-1 verification flow. `make verify` is the pre-merge check, and CI
+# runs the same targets as separate steps: build, vet, the godoc lint over
+# the server packages, the full test suite, the test suite again under the
+# race detector (the server and primes packages are exercised by
+# multi-goroutine tests, so -race is load-bearing, not ceremony), short fuzz
+# passes — the journal frame scanner is the single parser standing between
+# a crashed process's half-written bytes and the recovery path — and the
+# replication and cluster end-to-end suites.
 
 GO ?= go
 
@@ -70,10 +71,11 @@ verify: build vet lint test race fuzz e2e-replica e2e-cluster
 bench-update:
 	BENCH_UPDATE_JSON=$(CURDIR)/BENCH_update.json $(GO) test ./internal/server -run '^TestUpdateBenchReport$$' -v -timeout 900s
 
-# bench-query measures the query path: the fast ancestor test plus parallel
-# axis evaluation against the exact sequential baseline, per axis and across
-# document sizes, written as machine-readable JSON to BENCH_query.json. Same
-# non-gating policy as bench-update.
+# bench-query measures the query path: the extent planner against the
+# label-predicate nested loop per axis, the count and streaming terminals,
+# and the ancestor prefilter's reject ratio on a deep fixture, written as
+# machine-readable JSON to BENCH_query.json. Same non-gating policy as
+# bench-update.
 bench-query:
 	BENCH_QUERY_JSON=$(CURDIR)/BENCH_query.json QUERYSTATS_JSON=$(CURDIR)/BENCH_querystats.json $(GO) test ./internal/server -run '^TestQueryBenchReport$$' -v -timeout 900s
 

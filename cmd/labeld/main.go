@@ -97,7 +97,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("labeld", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	cache := fs.Int("cache", 256, "per-document query cache capacity (negative disables)")
-	queryParallel := fs.Int("query-parallel", 0, "workers for parallel query evaluation (0 = one per CPU, 1 = sequential)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request handling timeout")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown grace period")
 	preload := fs.String("preload", "", "XML file to load at startup (document name = file basename)")
@@ -111,8 +110,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained for /debug/traces (negative disables)")
 	queryStatsShapes := fs.Int("querystats-shapes", 4096, "distinct (document, query shape) entries tracked for /debug/querystats before LRU eviction")
 	debugAddr := fs.String("debug-addr", "", "extra listener serving net/http/pprof plus /debug/traces and /metrics (empty disables)")
-	freezeAfter := fs.Duration("freeze-after", 0, "re-label a document into compact fixed-width labels after this long without a write (0 disables adaptive freezing)")
-	freezeMinReads := fs.Int("freeze-min-reads", 1, "reads since the last write before a document qualifies for freezing")
 	follow := fs.String("follow", "", "run as a read-only replica streaming the journal from this primary base URL (e.g. http://primary:8080)")
 	followPoll := fs.Duration("follow-poll", 0, "how often a replica re-lists the primary's documents (0 = server default)")
 	promote := fs.String("promote", "", "promote the replica at this base URL to primary (POST /promote) and exit")
@@ -164,7 +161,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	srv, err := server.New(server.Config{
 		Addr:             *addr,
 		CacheSize:        *cache,
-		QueryParallelism: *queryParallel,
 		RequestTimeout:   *timeout,
 		ShutdownGrace:    *grace,
 		DataDir:          *dataDir,
@@ -177,8 +173,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		DebugAddr:        *debugAddr,
 		FollowURL:        *follow,
 		FollowPoll:       *followPoll,
-		FreezeAfter:      *freezeAfter,
-		FreezeMinReads:   *freezeMinReads,
 		ClusterSelf:      *clusterSelf,
 		ClusterNodes:     splitList(*clusterNodes),
 		ClusterPins:      pins,

@@ -137,8 +137,13 @@ func TestRunPreload(t *testing.T) {
 }
 
 func TestRunBadFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-nope"}, io.Discard); err == nil {
-		t.Fatal("bad flag accepted")
+	// The last three are removed options: the query sharding and adaptive
+	// freezing they configured are gone, and a stale service definition
+	// must fail loudly rather than start without them.
+	for _, flag := range []string{"-nope", "-query-parallel=4", "-freeze-after=1m", "-freeze-min-reads=3"} {
+		if err := run(context.Background(), []string{flag}, io.Discard); err == nil {
+			t.Fatalf("bad flag %s accepted", flag)
+		}
 	}
 	if err := run(context.Background(), []string{"-preload", "/does/not/exist.xml", "-addr", "127.0.0.1:0"}, io.Discard); err == nil {
 		t.Fatal("missing preload file accepted")

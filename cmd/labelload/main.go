@@ -145,11 +145,8 @@ func sampleExplain(stdout io.Writer, c *client.Routed, doc, runID string, n int)
 // printProfile renders one query's explain profile compactly: the planner
 // summary line, then one line per axis step and per recorded stage timing.
 func printProfile(stdout io.Writer, q string, ex *api.QueryExplain) {
-	fmt.Fprintf(stdout, "  %s\n    shape %s  backend %s  cache_hit %v  parallel %v",
-		q, ex.Shape, ex.Backend, ex.CacheHit, ex.Parallel)
-	if ex.Shards > 0 {
-		fmt.Fprintf(stdout, " (shards %d)", ex.Shards)
-	}
+	fmt.Fprintf(stdout, "  %s\n    shape %s  backend %s  cache_hit %v",
+		q, ex.Shape, ex.Backend, ex.CacheHit)
 	fmt.Fprintf(stdout, "  candidates %d", ex.Candidates)
 	if ex.MaxLabelBits > 0 {
 		fmt.Fprintf(stdout, "  max_label_bits %d", ex.MaxLabelBits)

@@ -6,12 +6,9 @@
 //
 // Ancestor, parent and document-order tests are two or three integer
 // comparisons — no multiplication, no division, and in particular no
-// math/big arithmetic — and the probe path performs no heap allocation.
-// That makes compact the serving backend the label store freezes hot
-// read-mostly documents into: the prime scheme keeps absorbing updates
-// cheaply, and documents that have gone cold get probe latency that is
-// independent of label bit-length (the prime scheme's labels grow with
-// depth and fan-out; see BENCH_query.json's 355-bit fixture).
+// math/big arithmetic — and the probe path performs no heap allocation,
+// so probe latency is independent of the document's size, where the prime
+// scheme's labels grow with depth and fan-out.
 //
 // The trade-off is the classic static one the paper quantifies in
 // Figures 16–18: an insertion renumbers every node at or after the
@@ -99,15 +96,6 @@ func (s Scheme) New(doc *xmltree.Document) (*Labeling, error) {
 		return nil, err
 	}
 	return l, nil
-}
-
-// Freeze builds a compact labeling over an already-hosted document without
-// touching the tree or any other labeling attached to it. The label store
-// uses it to re-label a read-mostly document in the background; the
-// resulting labeling answers exactly the relationship queries the
-// document's primary scheme answers, from two-word labels.
-func Freeze(doc *xmltree.Document) (*Labeling, error) {
-	return Scheme{}.New(doc)
 }
 
 // renumberChecked renumbers the whole document after verifying the counter
@@ -240,9 +228,7 @@ func (l *Labeling) Before(a, b *xmltree.Node) (bool, error) {
 
 // InsertChildAt implements labeling.Labeling. Compact is a static scheme:
 // the insertion renumbers the document and every node whose label changed
-// is counted — the defining cost the paper's Figures 16–18 quantify, which
-// is why the label store only freezes documents into compact once their
-// update rate has fallen off.
+// is counted — the defining cost the paper's Figures 16–18 quantify.
 func (l *Labeling) InsertChildAt(parent *xmltree.Node, idx int, n *xmltree.Node) (int, error) {
 	if _, ok := l.labels[parent]; !ok {
 		return 0, errors.New("compact: insert under unlabeled parent")

@@ -300,13 +300,15 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestFreezeDoesNotTouchOtherLabelings(t *testing.T) {
+// TestNewDoesNotTouchOtherLabelings labels a document that already carries
+// another labeling: both must keep answering over the same tree.
+func TestNewDoesNotTouchOtherLabelings(t *testing.T) {
 	doc := parse(t, testXML)
 	li, err := (interval.Scheme{Variant: interval.XRel}).New(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := Freeze(doc)
+	lc, err := Scheme{}.New(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

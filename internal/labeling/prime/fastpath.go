@@ -86,7 +86,7 @@ func (nl *nodeLabel) deriveFrom(parent *nodeLabel) {
 }
 
 // AncestorStats counts IsAncestor outcomes with atomic counters so
-// concurrent query shards can share one instance. A nil *AncestorStats on
+// concurrent queries can share one instance. A nil *AncestorStats on
 // a Labeling disables counting entirely. Counters are monotonic; readers
 // use Load on each field or the derived RejectRatio.
 type AncestorStats struct {

@@ -72,11 +72,10 @@ func CRTGarner(cs []Congruence) (x, mod *big.Int, err error) {
 		cur := uint64(0)
 		coeff := uint64(1) % mi
 		for j := 0; j < i; j++ {
-			cur = (cur + mulmod64(v[j], coeff, mi)) % mi
+			cur = addmod64(cur, mulmod64(v[j], coeff, mi), mi)
 			coeff = mulmod64(coeff, cs[j].Mod%mi, mi)
 		}
-		target := cs[i].Rem % mi
-		diff := (target + mi - cur) % mi
+		diff := submod64(cs[i].Rem%mi, cur, mi)
 		inv, ierr := ModInverse(prodMod(cs[:i], mi), mi)
 		if ierr != nil {
 			return nil, nil, ErrNotCoprime
@@ -95,6 +94,24 @@ func CRTGarner(cs []Congruence) (x, mod *big.Int, err error) {
 		mod.Mul(mod, &m)
 	}
 	return x, mod, nil
+}
+
+// addmod64 returns (a + b) mod m for a, b < m, without overflowing when m
+// is 2⁶³ or more.
+func addmod64(a, b, m uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 || s >= m {
+		s -= m
+	}
+	return s
+}
+
+// submod64 returns (a − b) mod m for a, b < m.
+func submod64(a, b, m uint64) uint64 {
+	if a >= b {
+		return a - b
+	}
+	return a + (m - b)
 }
 
 // prodMod returns (∏ cs[j].Mod) mod m.

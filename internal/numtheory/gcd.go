@@ -5,7 +5,10 @@
 // simultaneous congruence (SC) table (Section 4).
 package numtheory
 
-import "errors"
+import (
+	"errors"
+	"math/big"
+)
 
 // ErrNotCoprime is returned when a modular inverse or CRT solution does not
 // exist because two moduli (or a value and its modulus) share a factor.
@@ -31,12 +34,21 @@ func ExtGCD(a, b int64) (g, x, y int64) {
 
 // ModInverse returns the multiplicative inverse of a modulo m, i.e. the x in
 // [0, m) with a*x ≡ 1 (mod m). It returns ErrNotCoprime if gcd(a, m) != 1.
+// Moduli below 2⁶³ — every order key — run the allocation-free int64
+// extended GCD; larger ones do not fit it and go through math/big.
 func ModInverse(a, m uint64) (uint64, error) {
 	if m == 0 {
 		return 0, errors.New("numtheory: zero modulus")
 	}
 	if m == 1 {
 		return 0, nil
+	}
+	if m >= 1<<63 {
+		var inv big.Int
+		if inv.ModInverse(new(big.Int).SetUint64(a%m), new(big.Int).SetUint64(m)) == nil {
+			return 0, ErrNotCoprime
+		}
+		return inv.Uint64(), nil
 	}
 	g, x, _ := ExtGCD(int64(a%m), int64(m))
 	if g != 1 {

@@ -1,6 +1,7 @@
 package numtheory
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -328,4 +329,90 @@ func TestRemUint64AllocFree(t *testing.T) {
 		t.Errorf("RemUint64 allocates %.0f times per call, want 0", n)
 	}
 	_ = sink
+}
+
+// TestModInverseWideModuli covers moduli of 2⁶³ and more, which do not fit
+// the int64 extended GCD: the inverse must still be exact, and a CRT
+// system over such a modulus must verify.
+func TestModInverseWideModuli(t *testing.T) {
+	const m = 18446744073709551557 // the largest prime below 2⁶⁴
+	inv, err := ModInverse(3, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mulmod64(3, inv, m) != 1 {
+		t.Errorf("ModInverse(3, %d) = %d, not an inverse", uint64(m), inv)
+	}
+	cs := []Congruence{{Mod: 3, Rem: 1}, {Mod: m, Rem: 5}}
+	x, _, err := CRTGarner(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Verify(x, cs) {
+		t.Errorf("CRTGarner(%v) = %v, which does not verify", cs, x)
+	}
+	if _, err := ModInverse(6, 1<<63+2); !errors.Is(err, ErrNotCoprime) {
+		t.Errorf("ModInverse(6, 2⁶³+2) err = %v, want ErrNotCoprime", err)
+	}
+	if inv, err := ModInverse(1<<64-1, 1); err != nil || inv != 0 {
+		t.Errorf("ModInverse(2⁶⁴-1, 1) = %d, %v; want 0, nil", inv, err)
+	}
+}
+
+// TestModInverseMatchesBig checks random a and m of every bit width against
+// math/big: the same inverse when one exists, ErrNotCoprime when not.
+func TestModInverseMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20000; trial++ {
+		m := rng.Uint64() >> uint(rng.Intn(64))
+		a := rng.Uint64() >> uint(rng.Intn(64))
+		if m == 0 {
+			continue
+		}
+		got, err := ModInverse(a, m)
+		var want big.Int
+		if m == 1 {
+			if err != nil || got != 0 {
+				t.Fatalf("ModInverse(%d, 1) = %d, %v; want 0, nil", a, got, err)
+			}
+			continue
+		}
+		if want.ModInverse(new(big.Int).SetUint64(a), new(big.Int).SetUint64(m)) == nil {
+			if !errors.Is(err, ErrNotCoprime) {
+				t.Fatalf("ModInverse(%d, %d) = %d, %v; want ErrNotCoprime", a, m, got, err)
+			}
+			continue
+		}
+		if err != nil || got != want.Uint64() {
+			t.Fatalf("ModInverse(%d, %d) = %d, %v; want %v", a, m, got, err, &want)
+		}
+	}
+}
+
+// TestCRTGarnerWideModuli holds CRTGarner to the math/big CRT on systems
+// that mix small and 64-bit prime moduli.
+func TestCRTGarnerWideModuli(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	wide := []uint64{18446744073709551557, 18446744073709551533, 9223372036854775783, 4294967291}
+	small := []uint64{3, 5, 7, 11, 13}
+	for trial := 0; trial < 500; trial++ {
+		var cs []Congruence
+		for _, pool := range [][]uint64{wide, small} {
+			for _, i := range rng.Perm(len(pool))[:1+rng.Intn(2)] {
+				cs = append(cs, Congruence{Mod: pool[i], Rem: rng.Uint64() % pool[i]})
+			}
+		}
+		rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+		want, wantMod, err := CRT(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotMod, err := CRTGarner(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(want) != 0 || gotMod.Cmp(wantMod) != 0 {
+			t.Fatalf("CRTGarner(%v) = %v mod %v, CRT gives %v mod %v", cs, got, gotMod, want, wantMod)
+		}
+	}
 }

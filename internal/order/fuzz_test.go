@@ -1,6 +1,8 @@
 package order
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -125,20 +127,29 @@ func checkTable(t *testing.T, tbl *Table, m *sctModel) {
 	}
 }
 
+// composite returns a key that shares a factor with a live key: the
+// product of a table key and a fresh prime. It is never issued as a prime.
+func (k *keyPool) composite(m *sctModel, pick int) uint64 {
+	return m.keyOf[m.seq[pick%len(m.seq)]] * k.small()
+}
+
 // FuzzSCTable drives random Append, InsertBetween, Insert, Delete, Compact
-// and Snapshot/Restore sequences. The first byte picks the chunk (1, 5, 20)
-// and spacing (1, 64); each later byte pair is an op and its argument.
-// Inserted nodes take the smallest unused prime, so shifts re-key members
-// often. After every op every record's SC value must equal a fresh CRTGarner
-// solve of its members (canonical, not just congruent), an insertion must
-// report the reference record count, document order must match the model,
-// and Verify must pass.
+// and Snapshot/Restore sequences. The first byte picks the chunk (1, 5, 20),
+// the spacing (1, 64) and whether the table has a KeyFunc; each later byte
+// pair is an op and its argument. Inserted nodes take the smallest unused
+// prime, so shifts overflow members' keys often: a keyed table re-keys
+// them, a keyless one must refuse the insert. The keyless mode also inserts
+// composite keys that share a factor with a live key now and then. After
+// every op every record's SC value must equal a fresh CRTGarner solve of its
+// members (canonical, not just congruent), an insertion must report the
+// reference record count, document order must match the model, and Verify
+// must pass; an op that fails must leave the table's snapshot unchanged.
 func FuzzSCTable(f *testing.F) {
 	// Every (chunk, spacing) pair: a load, front and middle inserts that
 	// exhaust gaps, deletes, a compaction, a round trip, more inserts.
 	ops := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 3, 2, 3, 3, 3, 4, 2, 4, 9, 2, 255,
 		5, 1, 5, 4, 2, 2, 6, 0, 2, 2, 7, 0, 4, 1, 3, 3, 5, 0, 5, 0, 2, 1, 7, 0, 2, 1}
-	for cfg := byte(0); cfg < 6; cfg++ {
+	for cfg := byte(0); cfg < 12; cfg++ {
 		f.Add(append([]byte{cfg}, ops...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -150,20 +161,52 @@ func FuzzSCTable(f *testing.F) {
 		}
 		chunk := []int{1, 5, 20}[data[0]%3]
 		spacing := []int{1, 64}[data[0]/3%2]
+		keyless := data[0]/6%2 == 1
 		keys := newKeyPool()
-		tbl, err := NewTableSpaced(chunk, spacing, keys.above)
+		var newKey KeyFunc
+		if !keyless {
+			newKey = keys.above
+		}
+		tbl, err := NewTableSpaced(chunk, spacing, newKey)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := &sctModel{keyOf: map[uint64]uint64{}, idOf: map[uint64]uint64{}}
+		// insertKey is the key an inserted node asks for: the smallest
+		// unused prime, or in keyless mode now and then a composite.
+		insertKey := func(arg int) uint64 {
+			if keyless && arg%7 == 0 && len(m.seq) > 0 {
+				return keys.composite(m, arg/7)
+			}
+			return keys.small()
+		}
+		// failed accepts an op's error only where the mode allows one, and
+		// then requires the table to be exactly as before the op.
+		failed := func(what string, err error, before string) bool {
+			t.Helper()
+			if err == nil {
+				return false
+			}
+			if !keyless {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !errors.Is(err, ErrOrderOverflow) && !errors.Is(err, numtheory.ErrNotCoprime) {
+				t.Fatalf("%s: unexpected error %v", what, err)
+			}
+			if after := snapshotOf(tbl); after != before {
+				t.Fatalf("%s failed with %v but changed the table:\n before %s\n after  %s", what, err, before, after)
+			}
+			return true
+		}
 		for i := 1; i+1 < len(data); i += 2 {
 			op, arg := data[i]%8, int(data[i+1])
 			n := len(m.seq)
+			before := snapshotOf(tbl)
 			switch {
 			case op <= 1 || n == 0: // Append
 				key := keys.above(uint64(tbl.MaxOrder() + tbl.Spacing()))
-				if err := tbl.Append(key); err != nil {
-					t.Fatalf("Append(%d): %v", key, err)
+				if failed(fmt.Sprintf("Append(%d)", key), tbl.Append(key), before) {
+					break
 				}
 				m.add(n, key, key)
 			case op <= 3: // InsertBetween
@@ -180,10 +223,10 @@ func FuzzSCTable(f *testing.F) {
 					from = next
 				}
 				want := writtenBy(tbl, from)
-				key := keys.small()
+				key := insertKey(arg)
 				got, rekeys, err := tbl.InsertBetween(key, prev, next)
-				if err != nil {
-					t.Fatalf("InsertBetween(%d, %d, %d): %v", key, prev, next, err)
+				if failed(fmt.Sprintf("InsertBetween(%d, %d, %d)", key, prev, next), err, before) {
+					break
 				}
 				if got != want {
 					t.Fatalf("InsertBetween(%d, %d, %d) wrote %d records, want %d", key, prev, next, got, want)
@@ -194,10 +237,10 @@ func FuzzSCTable(f *testing.F) {
 				orderNum := 1 + arg%(tbl.MaxOrder()+1)
 				pos := sort.Search(n, func(j int) bool { return m.orderAt(t, tbl, j) >= orderNum })
 				want := writtenBy(tbl, orderNum)
-				key := keys.small()
+				key := insertKey(arg)
 				got, rekeys, err := tbl.Insert(key, orderNum)
-				if err != nil {
-					t.Fatalf("Insert(%d, %d): %v", key, orderNum, err)
+				if failed(fmt.Sprintf("Insert(%d, %d)", key, orderNum), err, before) {
+					break
 				}
 				if got != want {
 					t.Fatalf("Insert(%d, %d) wrote %d records, want %d", key, orderNum, got, want)
@@ -215,15 +258,15 @@ func FuzzSCTable(f *testing.F) {
 				delete(m.keyOf, id)
 			case op == 6: // Compact
 				got, err := tbl.Compact()
-				if err != nil {
-					t.Fatal(err)
+				if failed("Compact", err, before) {
+					break
 				}
 				if want := (n + chunk - 1) / chunk; got != want {
 					t.Fatalf("Compact rebuilt %d records, want %d", got, want)
 				}
 			default: // Snapshot/Restore
 				c, s, next, recs := tbl.Snapshot()
-				restored, err := Restore(c, s, next, recs, keys.above)
+				restored, err := Restore(c, s, next, recs, newKey)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -189,6 +189,41 @@ func (t *Table) place(prime uint64, ord int) (*record, error) {
 	return r, nil
 }
 
+// checkShift returns the error shift(from, delta) would fail with, without
+// changing anything: on a table without a KeyFunc, a member whose shifted
+// order would reach its key cannot be re-keyed. Insert and InsertBetween
+// call it before their first mutation, so a failed insert leaves the table
+// as it was.
+func (t *Table) checkShift(from, delta int) error {
+	if t.newKey != nil {
+		return nil
+	}
+	for _, r := range t.records {
+		for i, o := range r.orders {
+			if o >= from && uint64(o+delta) >= r.primes[i] {
+				return fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, o+delta, r.primes[i])
+			}
+		}
+	}
+	return nil
+}
+
+// checkPlace returns the error place(prime, ...) would fail with, without
+// changing anything: ErrNotCoprime when prime shares a factor with the keys
+// of the record that would receive it. A shift leaves that record's keys
+// alone unless it re-keys a member, which takes a fresh prime from the
+// KeyFunc.
+func (t *Table) checkPlace(prime uint64) error {
+	n := len(t.records)
+	if n == 0 || len(t.records[n-1].primes) >= t.chunk {
+		return nil // a fresh record accepts any key
+	}
+	if numtheory.GCD(numtheory.RemUint64(t.records[n-1].mod, prime), prime) != 1 {
+		return fmt.Errorf("%w: key %d", numtheory.ErrNotCoprime, prime)
+	}
+	return nil
+}
+
 // shift raises by delta the order number of every member at or after from,
 // re-keying members whose new order outgrows their prime, and brings the SC
 // value of every record it moved up to date. Most such records need no CRT
@@ -200,7 +235,8 @@ func (t *Table) place(prime uint64, ord int) (*record, error) {
 //
 // It returns the number of records written and the last of them (nil when
 // nothing moved), with the key changes appended to rekeys in the order the
-// KeyFunc was called.
+// KeyFunc was called. Callers run checkShift first: an error from shift
+// itself means the table is already partly shifted.
 func (t *Table) shift(from, delta int, rekeys []KeyChange) (written int, last *record, _ []KeyChange, err error) {
 	d := big.NewInt(int64(delta))
 	for _, r := range t.records {
@@ -297,7 +333,7 @@ func (t *Table) Before(pa, pb uint64) (bool, error) {
 // cost metric for order-sensitive updates, which counts the receiving
 // record once even when the shift also wrote it — together with any
 // order-key replacements that shifting made necessary (see
-// ErrOrderOverflow).
+// ErrOrderOverflow). An insert that fails changes nothing.
 func (t *Table) Insert(prime uint64, orderNum int) (recordsUpdated int, rekeys []KeyChange, err error) {
 	if prime < 2 {
 		return 0, nil, ErrNotPrimeModulus
@@ -308,10 +344,20 @@ func (t *Table) Insert(prime uint64, orderNum int) (recordsUpdated int, rekeys [
 	if orderNum < 1 || orderNum > t.nextOrd {
 		return 0, nil, fmt.Errorf("%w: %d not in [1,%d]", ErrBadOrder, orderNum, t.nextOrd)
 	}
-	if uint64(orderNum) >= prime {
-		if t.newKey == nil {
-			return 0, nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, orderNum, prime)
+	rekeyed := uint64(orderNum) >= prime
+	if rekeyed && t.newKey == nil {
+		return 0, nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, orderNum, prime)
+	}
+	if !rekeyed {
+		// A re-keyed node takes a fresh prime, which any record accepts.
+		if err := t.checkPlace(prime); err != nil {
+			return 0, nil, err
 		}
+	}
+	if err := t.checkShift(orderNum, 1); err != nil {
+		return 0, nil, err
+	}
+	if rekeyed {
 		np := t.newKey(uint64(orderNum))
 		rekeys = append(rekeys, KeyChange{Old: prime, New: np})
 		prime = np
@@ -379,7 +425,8 @@ func (t *Table) Delete(prime uint64) error {
 // order-number order and refilled into full records, dropping emptied rows.
 // Lookup results are unchanged; only the row layout (and therefore the cost
 // of future shifting inserts) improves. Returns the number of records
-// recomputed.
+// recomputed. A failed compaction (keys that share a factor landing in one
+// record) changes nothing.
 func (t *Table) Compact() (int, error) {
 	var ms []Member
 	for _, r := range t.records {
@@ -388,8 +435,8 @@ func (t *Table) Compact() (int, error) {
 		}
 	}
 	sortMembersByOrder(ms)
-	t.records = nil
-	t.byPrime = make(map[uint64]int, len(ms))
+	var records []*record
+	byPrime := make(map[uint64]int, len(ms))
 	for start := 0; start < len(ms); start += t.chunk {
 		end := start + t.chunk
 		if end > len(ms) {
@@ -402,13 +449,14 @@ func (t *Table) Compact() (int, error) {
 			if m.Prime > r.maxPrime {
 				r.maxPrime = m.Prime
 			}
-			t.byPrime[m.Prime] = len(t.records)
+			byPrime[m.Prime] = len(records)
 		}
 		if err := r.recompute(); err != nil {
 			return 0, err
 		}
-		t.records = append(t.records, r)
+		records = append(records, r)
 	}
+	t.records, t.byPrime = records, byPrime
 	return len(t.records), nil
 }
 
@@ -448,8 +496,8 @@ type SCRow struct {
 
 // Verify checks internal consistency: every SC value lies in [0, mod),
 // every cached order number matches the one recovered from its record's SC
-// value, all order numbers are distinct, and every prime maps to the record
-// that contains it.
+// value and lies below the high-water mark, all order numbers are distinct,
+// and every prime maps to the record that contains it.
 func (t *Table) Verify() error {
 	seen := make(map[int]uint64)
 	for ri, r := range t.records {
@@ -463,6 +511,9 @@ func (t *Table) Verify() error {
 			got := int(numtheory.RemUint64(r.sc, p))
 			if got != r.orders[i] {
 				return fmt.Errorf("order: SC mod %d = %d, cached order %d", p, got, r.orders[i])
+			}
+			if r.orders[i] >= t.nextOrd {
+				return fmt.Errorf("order: order %d of key %d not below the high-water mark %d", r.orders[i], p, t.nextOrd)
 			}
 			if other, dup := seen[r.orders[i]]; dup {
 				return fmt.Errorf("order: order number %d held by both %d and %d", r.orders[i], other, p)

@@ -2,9 +2,11 @@ package order
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"primelabel/internal/numtheory"
 	"primelabel/internal/primes"
 )
 
@@ -213,6 +215,83 @@ func TestInsertOverflow(t *testing.T) {
 	}
 	if err := keyed.Verify(); err != nil {
 		t.Error(err)
+	}
+}
+
+// snapshotOf renders a table's persistable state for before/after
+// comparisons.
+func snapshotOf(tbl *Table) string {
+	c, s, next, recs := tbl.Snapshot()
+	return fmt.Sprint(c, s, next, recs, tbl.SCValues())
+}
+
+// TestFailedInsertChangesNothing pins both ways an insert used to fail
+// after it had started shifting: a member overflowing its key on a table
+// without a KeyFunc, and a new key sharing a factor with the receiving
+// record. Either must leave the table exactly as it was, and Verify must
+// hold.
+func TestFailedInsertChangesNothing(t *testing.T) {
+	overflow := mustTable(t, 1)
+	for _, p := range []uint64{101, 103, 5, 107} {
+		if err := overflow.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := overflow.Insert(109, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotOf(overflow)
+	// The shift would move key 5 to order 5.
+	if _, _, err := overflow.Insert(113, 1); !errors.Is(err, ErrOrderOverflow) {
+		t.Fatalf("Insert(113, 1) err = %v, want ErrOrderOverflow", err)
+	}
+	if after := snapshotOf(overflow); after != before {
+		t.Errorf("failed insert changed the table:\n before %s\n after  %s", before, after)
+	}
+	if err := overflow.Verify(); err != nil {
+		t.Error(err)
+	}
+
+	shared := mustTable(t, 5)
+	for _, p := range []uint64{7, 11} {
+		if err := shared.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = snapshotOf(shared)
+	if _, _, err := shared.Insert(77, 1); !errors.Is(err, numtheory.ErrNotCoprime) {
+		t.Fatalf("Insert(77, 1) err = %v, want ErrNotCoprime", err)
+	}
+	if after := snapshotOf(shared); after != before {
+		t.Errorf("failed insert changed the table:\n before %s\n after  %s", before, after)
+	}
+	if shared.MaxOrder() != 2 {
+		t.Errorf("MaxOrder = %d, want 2", shared.MaxOrder())
+	}
+	if err := shared.Verify(); err != nil {
+		t.Error(err)
+	}
+	// The exhausted-gap branch of InsertBetween validates the same way.
+	if _, _, err := shared.InsertBetween(77, 1, 2); !errors.Is(err, numtheory.ErrNotCoprime) {
+		t.Fatalf("InsertBetween(77, 1, 2) err = %v, want ErrNotCoprime", err)
+	}
+	if after := snapshotOf(shared); after != before {
+		t.Errorf("failed InsertBetween changed the table:\n before %s\n after  %s", before, after)
+	}
+}
+
+// TestVerifyCatchesOrderAtHighWaterMark checks Verify's bound on live
+// orders: an order at or past the high-water mark is an inconsistency.
+func TestVerifyCatchesOrderAtHighWaterMark(t *testing.T) {
+	tbl := mustTable(t, 5)
+	for _, p := range []uint64{7, 11} {
+		if err := tbl.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.nextOrd = 2 // key 11 holds order 2
+	if err := tbl.Verify(); err == nil {
+		t.Error("Verify accepted an order at the high-water mark")
 	}
 }
 

@@ -48,7 +48,7 @@ func (t *Table) Spacing() int {
 // the midpoint is taken.
 //
 // Both orders must be current values from this table. The return values
-// match Insert.
+// match Insert, and as with Insert a failed call changes nothing.
 func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUpdated int, rekeys []KeyChange, err error) {
 	if prime < 2 {
 		return 0, nil, ErrNotPrimeModulus
@@ -63,16 +63,37 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 	var ord, written int
 	var last *record
 	var shift ShiftInfo
+	exhausted := nextOrder != 0 && nextOrder-prevOrder <= 1
 	switch {
 	case nextOrder == 0:
 		// Append after the current maximum.
 		ord = t.maxOrd() + spacing
-	case nextOrder-prevOrder > 1:
+	case !exhausted:
 		// Open gap: take the midpoint, no shifting.
 		ord = prevOrder + (nextOrder-prevOrder)/2
 	default:
-		// Exhausted gap: shift everything from nextOrder up by spacing,
-		// re-keying members whose bumped order outgrows their prime.
+		// Exhausted gap: the shift below makes room right after prevOrder.
+		ord = prevOrder + (spacing+1)/2
+		if ord <= prevOrder {
+			ord = prevOrder + 1
+		}
+	}
+	rekeyed := uint64(ord) >= prime
+	if rekeyed && t.newKey == nil {
+		return 0, nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, ord, prime)
+	}
+	if !rekeyed {
+		// A re-keyed node takes a fresh prime, which any record accepts.
+		if err := t.checkPlace(prime); err != nil {
+			return 0, nil, err
+		}
+	}
+	if exhausted {
+		// Shift everything from nextOrder up by spacing, re-keying members
+		// whose bumped order outgrows their prime.
+		if err := t.checkShift(nextOrder, spacing); err != nil {
+			return 0, nil, err
+		}
 		written, last, rekeys, err = t.shift(nextOrder, spacing, rekeys)
 		if err != nil {
 			return 0, nil, err
@@ -82,15 +103,8 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 			t.nextOrd += spacing
 			shift = ShiftInfo{From: nextOrder, Delta: spacing}
 		}
-		ord = prevOrder + (spacing+1)/2
-		if ord <= prevOrder {
-			ord = prevOrder + 1
-		}
 	}
-	if uint64(ord) >= prime {
-		if t.newKey == nil {
-			return 0, nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, ord, prime)
-		}
+	if rekeyed {
 		np := t.newKey(uint64(ord))
 		rekeys = append(rekeys, KeyChange{Old: prime, New: np})
 		prime = np

@@ -1,13 +1,12 @@
-// Package parallel provides a small bounded fork/join helper used by the
-// query engine to shard candidate scans across a worker pool.
+// Package parallel provides a small bounded fork/join helper; the label
+// server's boot recovery uses it to restore documents concurrently.
 //
 // The helpers are deliberately minimal: callers pass a half-open range
 // [0, n) and a shard function; MapShards splits the range into at most
 // `workers` contiguous shards and runs them concurrently, returning the
 // per-shard results in shard order. Because shards are contiguous and
-// results are concatenated in order, a caller whose input is sorted (for
-// example, candidates in document order) gets sorted output back without
-// any merge step.
+// results are concatenated in order, a caller whose input is sorted gets
+// sorted output back without any merge step.
 package parallel
 
 import (

@@ -1,15 +1,15 @@
 package rdb
 
 // Explain is the per-step execution profile collector behind the server's
-// ?explain=1 query mode. It follows the ExecStats pattern: every recording
-// method is nil-safe, and the executor threads a *Explain through its body,
-// so the explain-off path (a nil collector) performs no extra work and no
-// extra allocations — parity and allocation tests pin both properties.
+// ?explain=1 query mode. Every recording method is nil-safe, and the
+// executor threads a *Explain through its body, so the explain-off path (a
+// nil collector) performs no extra work and no extra allocations — parity
+// and allocation tests pin both properties.
 
 import "primelabel/internal/xpath"
 
 // StepProfile describes one executed location step: what the step asked
-// for, how many rows each phase saw, and whether its join fanned out.
+// for, how many rows each phase saw, and which operator joined it.
 type StepProfile struct {
 	// Axis is the step's axis name (child, descendant, following, ...).
 	Axis string
@@ -28,10 +28,6 @@ type StepProfile struct {
 	// Emitted is the context-row count the step handed to the next step —
 	// the distinct inner rows after positional selection.
 	Emitted int
-	// Parallel reports that the step's join ran sharded across the worker
-	// pool; Shards is how many shards it spawned.
-	Parallel bool
-	Shards   int
 	// JoinPlan is the physical operator the per-step planner chose for the
 	// step's join ("scan" for the document-context first step).
 	JoinPlan string
@@ -55,7 +51,7 @@ func (e *Explain) addStep(p StepProfile) {
 }
 
 // ExecPathExplain is ExecPathStats plus a per-step profile: each executed
-// step's candidate/pair/emitted counts and fan-out decision land in ex. A
+// step's candidate/pair/emitted counts and join plan land in ex. A
 // nil ex degrades to exactly ExecPathStats.
 func (t *Table) ExecPathExplain(q xpath.Query, ex *Explain) (RowSet, ExecStats, error) {
 	var stats ExecStats

@@ -19,7 +19,7 @@ import (
 const (
 	// planScan is the document-context first step: a tag-index scan, no join.
 	planScan = "scan"
-	// planNestedLoop is the label-predicate nested loop (possibly sharded).
+	// planNestedLoop is the label-predicate nested loop (NestedLoop planner).
 	planNestedLoop = "nested-loop"
 	// planExtentProbe probes the candidate index per context row: binary
 	// search to the subtree run, then an O(answer) walk.
@@ -46,30 +46,31 @@ const (
 	planExtentSibling = "extent-sibling"
 	// planStackMerge is the label-predicate stack merge (StackTree).
 	planStackMerge = "stack-merge"
-	// planOrderScan is the pairwise order-predicate join (possibly sharded).
+	// planOrderScan is the pairwise order-predicate join.
 	planOrderScan = "order-scan"
 	// planSiblingIndex is the parent-grouped sibling join.
 	planSiblingIndex = "sibling-index"
 )
 
-// tinyJoinWork is the (outer × inner) pair count below which the Extent
-// planner keeps the plain nested loop: at that size operator constant
-// factors dominate and the label predicates are exercised for free.
-const tinyJoinWork = 256
-
 // extentJoinPlan is the Extent planner's per-step cost model for the
-// containment axes. Costs in comparisons: the nested loop pays o·c, the
-// index probe o·(log₂c + answer), the merge o + c + answer. The answer
-// term is common, so the probe wins once the context side is small enough
-// that o·log₂c undercuts the merge's full sweep of both inputs.
+// containment axes. Costs in comparisons: the index probe pays
+// o·(log₂c + answer), the merge o + c + answer. The answer term is common,
+// so the probe wins once the context side is small enough that o·log₂c
+// undercuts the merge's full sweep of both inputs.
 func extentJoinPlan(nctx, ncands int) string {
-	if nctx*ncands <= tinyJoinWork {
-		return planNestedLoop
-	}
 	if nctx*(bits.Len(uint(ncands))+1) < nctx+ncands {
 		return planExtentProbe
 	}
 	return planExtentMerge
+}
+
+// extentJoin runs the child (childOnly) or descendant join the cost model
+// picks, returning the plan's name alongside the pairs.
+func (t *Table) extentJoin(ctx, cands RowSet, childOnly bool) (Pairs, string) {
+	if plan := extentJoinPlan(len(ctx), len(cands)); plan == planExtentProbe {
+		return t.extentProbe(ctx, cands, childOnly), plan
+	}
+	return t.stackMerge(ctx, cands, t.extentContains, childOnly), planExtentMerge
 }
 
 // extentContains reports whether row o is a proper ancestor of row i: the

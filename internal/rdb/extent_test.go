@@ -69,16 +69,16 @@ func TestExtentColumnsMatchTreeTruth(t *testing.T) {
 	}
 }
 
-// TestExtentJoinPlanModel pins the cost model's regions: tiny products keep
-// the nested loop, small contexts over large candidate sets probe, and
-// balanced large inputs merge.
+// TestExtentJoinPlanModel pins the cost model's regions: small contexts
+// over large candidate sets probe, and balanced inputs — tiny products
+// included — merge.
 func TestExtentJoinPlanModel(t *testing.T) {
 	cases := []struct {
 		nctx, ncands int
 		want         string
 	}{
-		{1, 1, planNestedLoop},
-		{16, 16, planNestedLoop},
+		{1, 1, planExtentMerge},
+		{16, 16, planExtentMerge},
 		{1, 100000, planExtentProbe},
 		{8, 4096, planExtentProbe},
 		{5000, 5000, planExtentMerge},
@@ -444,7 +444,7 @@ func TestStackJoinEmitsSorted(t *testing.T) {
 	outer := tab.Scan("scene")
 	inner := tab.Scan("line")
 	got := tab.StackJoin(outer, inner)
-	want := tab.nlJoin(outer, inner, tab.AncestorPred(), nil)
+	want := tab.NLJoin(outer, inner, tab.AncestorPred())
 	if len(got) != len(want) {
 		t.Fatalf("StackJoin emitted %d pairs, nested loop %d", len(got), len(want))
 	}

@@ -35,11 +35,11 @@ const (
 	// Extent drives every structural axis from the table's document-order
 	// columns instead of label probes: ancestor/parent tests are O(1)
 	// row-range containments against the subtree-extent column, child and
-	// descendant steps are single-pass merges, and following/preceding are
-	// binary-search range scans. Per step, the planner still falls back to
-	// the nested loop (tiny inputs) or the order join (ranks unavailable);
-	// the choice is recorded in StepProfile.JoinPlan. Results are
-	// byte-identical to the label-driven planners — the labels stay the
+	// descendant steps are index probes or single-pass merges, and
+	// following/preceding are binary-search range scans. Only an unordered
+	// table (ranks unavailable) falls back to the label-driven order and
+	// sibling joins; the choice is recorded in StepProfile.JoinPlan. Results
+	// are byte-identical to the label-driven planners — the labels stay the
 	// verified ground truth in parity tests.
 	Extent
 )
@@ -50,16 +50,9 @@ type Table struct {
 	// NestedLoop).
 	Plan Planner
 
-	// Parallelism is the worker budget for sharded join evaluation; <= 1
-	// (the default) keeps every join sequential. Fan-out additionally
-	// requires a warmed table — see parallel.go. Results are identical at
-	// any setting.
+	// Parallelism is ignored: every join runs sequentially. The field
+	// remains so that callers which still set it keep compiling.
 	Parallelism int
-
-	// MinParallelWork is the minimum (outer × inner) pair count before a
-	// join fans out; 0 means defaultMinParallelWork. Tests lower it to
-	// force sharding on small inputs.
-	MinParallelWork int
 
 	lab   labeling.Labeling
 	nodes []*xmltree.Node // row id -> node
@@ -442,6 +435,12 @@ func (t *Table) Diff(ref *Table) error {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.nodes) }
 
+// Ordered reports that Warm found a document-order rank for every row, so
+// row order is the labeling's document order: row a precedes row b iff
+// a < b. False on an unwarmed table and for labelings without order
+// support, whose Before must be asked instead.
+func (t *Table) Ordered() bool { return t.ordered }
+
 // Node returns the node stored at a row id.
 func (t *Table) Node(id int) *xmltree.Node { return t.nodes[id] }
 
@@ -532,11 +531,38 @@ func (t *Table) ParentPred() JoinPred {
 // NLJoin is the baseline nested-loop structural join: every (outer, inner)
 // combination is tested with the predicate. O(|outer|·|inner|) predicate
 // evaluations — this operator is what makes per-scheme predicate cost
-// visible. On a warmed table with Parallelism > 1 the scan is sharded
-// across the worker pool; the output (outer-major, inner ascending) is
-// identical either way.
+// visible. Output is outer-major, inner ascending.
 func (t *Table) NLJoin(outer, inner RowSet, pred JoinPred) Pairs {
-	return t.nlJoin(outer, inner, pred, nil)
+	var out Pairs
+	for _, o := range outer {
+		on := t.nodes[o]
+		for _, i := range inner {
+			if pred(on, t.nodes[i]) {
+				out = append(out, Pair{Out: o, In: i})
+			}
+		}
+	}
+	return out
+}
+
+// orderJoin is the nested-loop join for the order axes
+// (following/preceding). The predicate may fail (a labeling without order
+// support); the first error is returned.
+func (t *Table) orderJoin(ctx, cands RowSet, pred func(c, n *xmltree.Node) (bool, error)) (Pairs, error) {
+	var out Pairs
+	for _, c := range ctx {
+		cn := t.nodes[c]
+		for _, i := range cands {
+			ok, err := pred(cn, t.nodes[i])
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, Pair{Out: c, In: i})
+			}
+		}
+	}
+	return out, nil
 }
 
 // StackJoin is a stack-based structural join in the spirit of Stack-Tree:
@@ -557,19 +583,22 @@ func (t *Table) ExecPath(q xpath.Query) (RowSet, error) {
 	return rs, err
 }
 
-// ExecPathStats is ExecPath plus fan-out accounting: the returned
-// ExecStats reports how many join operators ran sharded, the total shard
-// count, and the wall-clock time spent in sharded sections (all zero for
-// a fully sequential execution).
+// ExecStats reports the candidate-row volume one query execution scanned.
+type ExecStats struct {
+	// Candidates is the summed tag-scan output size (after value filters)
+	// across every step — the join input volume, which is what the server's
+	// query-stats plane histograms per query shape.
+	Candidates int
+}
+
+// ExecPathStats is ExecPath plus execution statistics.
 func (t *Table) ExecPathStats(q xpath.Query) (RowSet, ExecStats, error) {
 	var stats ExecStats
 	rs, err := t.execPath(q, &stats, nil)
 	return rs, stats, err
 }
 
-// execPath is the executor body; stats and ex may be nil, but a non-nil ex
-// requires a non-nil stats (the explain entry points guarantee it) — the
-// per-step fan-out attribution reads stats around each join.
+// execPath is the executor body; stats and ex may be nil.
 func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, error) {
 	if len(q.Steps) == 0 {
 		return nil, errors.New("rdb: empty query")
@@ -630,10 +659,6 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 			}
 			continue
 		}
-		var preFanOuts, preShards int
-		if ex != nil {
-			preFanOuts, preShards = stats.FanOuts, stats.Shards
-		}
 		var joined int
 		var plan string
 		ctxShared = false
@@ -644,7 +669,7 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 			// column equals Emitted.
 			ctx, joined, plan = rows, len(rows), p
 		} else {
-			pairs, p, err := t.joinStep(ctx, cands, step, stats)
+			pairs, p, err := t.joinStep(ctx, cands, step)
 			if err != nil {
 				return nil, err
 			}
@@ -660,7 +685,6 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 				Axis: step.Axis.String(), Name: step.Name, Pos: step.Pos,
 				Filters: len(step.Filters), Candidates: len(cands),
 				Pairs: joined, Emitted: len(ctx), JoinPlan: plan,
-				Parallel: stats.FanOuts > preFanOuts, Shards: stats.Shards - preShards,
 			})
 		}
 		if len(ctx) == 0 {
@@ -695,35 +719,26 @@ func (t *Table) semiJoin(ctx, cands RowSet, step xpath.Step) (rows RowSet, plan 
 
 // joinStep evaluates one non-initial step as a join between the context
 // rows and the candidate rows, returning the chosen plan's name alongside
-// the pairs; stats (may be nil) accumulates fan-outs. Under the Extent
-// planner the choice is per-step and cost-based (see extentJoinPlan);
-// every planner produces byte-identical pairs on every axis.
-func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step, stats *ExecStats) (Pairs, string, error) {
+// the pairs. Under the Extent planner the choice is per-step and
+// cost-based (see extentJoinPlan); every planner produces byte-identical
+// pairs on every axis.
+func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step) (Pairs, string, error) {
 	switch step.Axis {
 	case xpath.AxisChild:
 		if t.Plan == Extent {
-			switch plan := extentJoinPlan(len(ctx), len(cands)); plan {
-			case planExtentProbe:
-				return t.extentProbe(ctx, cands, true), plan, nil
-			case planExtentMerge:
-				return t.stackMerge(ctx, cands, t.extentContains, true), plan, nil
-			}
+			ps, plan := t.extentJoin(ctx, cands, true)
+			return ps, plan, nil
 		}
-		return t.nlJoin(ctx, cands, t.ParentPred(), stats), planNestedLoop, nil
+		return t.NLJoin(ctx, cands, t.ParentPred()), planNestedLoop, nil
 	case xpath.AxisDescendant:
 		switch t.Plan {
 		case Extent:
-			switch plan := extentJoinPlan(len(ctx), len(cands)); plan {
-			case planExtentProbe:
-				return t.extentProbe(ctx, cands, false), plan, nil
-			case planExtentMerge:
-				return t.stackMerge(ctx, cands, t.extentContains, false), plan, nil
-			}
-			return t.nlJoin(ctx, cands, t.AncestorPred(), stats), planNestedLoop, nil
+			ps, plan := t.extentJoin(ctx, cands, false)
+			return ps, plan, nil
 		case StackTree:
 			return t.StackJoin(ctx, cands), planStackMerge, nil
 		default:
-			return t.nlJoin(ctx, cands, t.AncestorPred(), stats), planNestedLoop, nil
+			return t.NLJoin(ctx, cands, t.AncestorPred()), planNestedLoop, nil
 		}
 	case xpath.AxisFollowing:
 		if t.Plan == Extent && t.ordered {
@@ -735,7 +750,7 @@ func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step, stats *ExecStats) (
 				return false, err
 			}
 			return after && !t.lab.IsAncestor(c, n), nil
-		}, stats)
+		})
 		return ps, planOrderScan, err
 	case xpath.AxisPreceding:
 		if t.Plan == Extent && t.ordered {
@@ -747,7 +762,7 @@ func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step, stats *ExecStats) (
 				return false, err
 			}
 			return before && !t.lab.IsAncestor(n, c), nil
-		}, stats)
+		})
 		return ps, planOrderScan, err
 	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
 		following := step.Axis == xpath.AxisFollowingSibling
@@ -838,7 +853,7 @@ func (t *Table) ExecPathString(query string) (RowSet, error) {
 	return rs, err
 }
 
-// ExecPathStringStats parses and executes a query, reporting fan-out
+// ExecPathStringStats parses and executes a query, reporting execution
 // statistics like ExecPathStats.
 func (t *Table) ExecPathStringStats(query string) (RowSet, ExecStats, error) {
 	q, err := xpath.Parse(query)

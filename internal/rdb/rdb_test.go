@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"primelabel/internal/datasets"
@@ -199,5 +200,32 @@ func TestNthPerOuter(t *testing.T) {
 	}
 	if got := nthPerOuter(ps, 5); len(got) != 0 {
 		t.Errorf("nthPerOuter(5) = %v", got)
+	}
+}
+
+// TestExecStatsZeroAllocPath double-checks ExecPath (the stats-less
+// wrapper) still works and agrees with ExecPathStats.
+func TestExecStatsZeroAllocPath(t *testing.T) {
+	doc := datasets.Play(4, 3, 300)
+	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := Build(lab)
+	tab.Warm()
+	q, err := xpath.Parse("//act//line")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tab.ExecPath(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := tab.ExecPathStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a, b) {
+		t.Errorf("ExecPath and ExecPathStats disagree: %v vs %v", a, b)
 	}
 }

@@ -63,15 +63,6 @@ type DocInfo struct {
 	// server runs without -data-dir or the scheme has no persistence codec
 	// (prime-bottomup, prime-decomposed).
 	Durable bool `json:"durable"`
-	// Frozen reports that the document currently serves reads from a
-	// compact fixed-width overlay built by the adaptive freeze policy (or
-	// an explicit freeze). The scheme and label fields above still describe
-	// the base labeling, which remains the source of truth; the next write
-	// thaws the document transparently.
-	Frozen bool `json:"frozen,omitempty"`
-	// FrozenMaxLabelBits is the compact overlay's widest label in bits
-	// (always at most 128). Only meaningful when Frozen is true.
-	FrozenMaxLabelBits int `json:"frozen_max_label_bits,omitempty"`
 	// Replica reports that this server hosts the document as a read
 	// replica: its state arrives over the replication stream and local
 	// writes are rejected until promotion.
@@ -150,7 +141,7 @@ type StreamChunk struct {
 
 // QueryExplain is the structured profile of one query execution, answering
 // the planner questions a per-request caller cannot otherwise see: which
-// backend served the query, whether the cache answered it, how each location
+// scheme served the query, whether the cache answered it, how each location
 // step narrowed the candidate set, what the ancestor-test fast path did, and
 // where the time went.
 type QueryExplain struct {
@@ -161,18 +152,13 @@ type QueryExplain struct {
 	// steps were executed and the step/fastpath fields are absent.
 	CacheHit bool `json:"cache_hit"`
 	// Backend is the labeling that served the evaluation: the document's
-	// scheme name (e.g. "prime"), or "frozen-compact" when the adaptive
-	// freeze policy routed the query to the compact overlay.
+	// scheme name (e.g. "prime").
 	Backend string `json:"backend,omitempty"`
-	// Parallel reports that at least one join fanned out across the worker
-	// pool; Shards is the total shard count across fan-outs.
-	Parallel bool `json:"parallel"`
-	Shards   int  `json:"shards,omitempty"`
 	// Candidates is the summed per-step candidate volume — the join input
 	// rows the executor scanned.
 	Candidates int `json:"candidates"`
-	// MaxLabelBits is the widest label of the serving backend in bits: the
-	// probe-cost currency ancestry-labeling schemes are compared by.
+	// MaxLabelBits is the document's widest label in bits: the probe-cost
+	// currency ancestry-labeling schemes are compared by.
 	MaxLabelBits int `json:"max_label_bits,omitempty"`
 	// Steps profiles each executed location step in query order. Execution
 	// short-circuits on an empty intermediate context, so this can be shorter
@@ -207,9 +193,6 @@ type ExplainStep struct {
 	Candidates int `json:"candidates"`
 	Pairs      int `json:"pairs"`
 	Emitted    int `json:"emitted"`
-	// Parallel reports the step's join fanned out, across Shards shards.
-	Parallel bool `json:"parallel,omitempty"`
-	Shards   int  `json:"shards,omitempty"`
 	// JoinPlan is the physical operator the per-step planner chose: "scan"
 	// for the document-context first step, then "nested-loop",
 	// "extent-probe", "extent-merge", "extent-cover", "extent-range",
@@ -242,8 +225,11 @@ const (
 	RelBefore   = "before"
 )
 
-// RelationRequest asks a label-only relationship question about two nodes,
-// identified by their document-order ids.
+// RelationRequest asks a structural relationship question about two nodes,
+// identified by their document-order ids. The server answers it from the
+// element table's extent and depth columns and from row order, in
+// constant time for every scheme; "before" on a scheme without order
+// support asks the labeling and fails as that scheme does.
 type RelationRequest struct {
 	// Kind is one of the Rel* constants.
 	Kind string `json:"kind"`
@@ -369,12 +355,10 @@ type QueryStatsEntry struct {
 	Doc   string `json:"doc"`
 	Shape string `json:"shape"`
 	// Calls counts executions; Errors the failed ones. CacheHits counts
-	// answers served from the query cache, FrozenServes answers evaluated on
-	// the frozen compact overlay.
-	Calls        uint64 `json:"calls"`
-	Errors       uint64 `json:"errors,omitempty"`
-	CacheHits    uint64 `json:"cache_hits"`
-	FrozenServes uint64 `json:"frozen_serves"`
+	// answers served from the query cache.
+	Calls     uint64 `json:"calls"`
+	Errors    uint64 `json:"errors,omitempty"`
+	CacheHits uint64 `json:"cache_hits"`
 	// Latency aggregates in milliseconds: the mean, interpolated p50/p95,
 	// and the slowest single call.
 	TotalMS float64 `json:"total_ms"`

@@ -73,7 +73,6 @@ func (s *Store) writeSnapshotLocked(ctx context.Context, d *document) error {
 		Planner:    d.planner,
 		Generation: d.gen,
 		Relabeled:  d.relabeled,
-		Frozen:     d.frozen != nil,
 		FenceEpoch: d.fenceEpoch,
 	}, d.lab)
 	endSnap()
@@ -302,11 +301,11 @@ func (s *Store) Close() error {
 //
 // Documents recover concurrently — each is an independent snapshot load
 // plus journal replay, so boot time on a multi-document data directory
-// scales with the largest document instead of the sum. The worker count
-// follows the store's query parallelism. Results stay deterministic: the
-// returned names are the documents that recovered cleanly, in name order,
-// and on failure the error reported is the first failing name in that
-// order (documents after it may still have been recovered and published).
+// scales with the largest document instead of the sum, with one worker per
+// usable CPU. Results stay deterministic: the returned names are the
+// documents that recovered cleanly, in name order, and on failure the error
+// reported is the first failing name in that order (documents after it may
+// still have been recovered and published).
 func (s *Store) Recover() ([]string, error) {
 	if s.persist == nil {
 		return nil, nil
@@ -316,7 +315,7 @@ func (s *Store) Recover() ([]string, error) {
 		return nil, err
 	}
 	errs := make([]error, len(names))
-	parallel.MapShards(s.parallelism, len(names), 1, func(lo, hi int) struct{} {
+	parallel.MapShards(parallel.Workers(0), len(names), 1, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			errs[i] = s.recoverOne(names[i])
 		}
@@ -362,10 +361,8 @@ func (s *Store) recoverOne(name string) error {
 		relabeled:  meta.Relabeled,
 		fenceEpoch: meta.FenceEpoch,
 	}
-	d.lastWrite.Store(time.Now().UnixNano())
 	d.table = rdb.Build(lab)
 	d.table.Plan = plan
-	d.table.Parallelism = s.parallelism
 
 	records, validEnd, err := s.persist.ReplayJournal(name)
 	if err != nil {
@@ -390,20 +387,6 @@ func (s *Store) recoverOne(name string) error {
 		replayed++
 	}
 	d.table.Warm()
-
-	if meta.Frozen && replayed == 0 {
-		// The document went down frozen and no write has happened since;
-		// bring it back serving from the compact overlay. Replayed records
-		// mean post-snapshot writes, which would have thawed it. Failure is
-		// non-fatal: the document serves from its base scheme and the
-		// freeze policy re-freezes it later.
-		if fl, ft, order, ferr := buildFrozen(d); ferr != nil {
-			s.logger.Error("recovery re-freeze failed; serving unfrozen", "doc", name, "err", ferr)
-		} else {
-			d.frozen, d.frozenTable, d.frozenOrder = fl, ft, order
-			d.isFrozen.Store(true)
-		}
-	}
 
 	j, err := s.persist.OpenJournalAt(name, validEnd)
 	if err != nil {

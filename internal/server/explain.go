@@ -1,12 +1,12 @@
 package server
 
-// Explain support: the helpers Store.query uses to dress an execution in
-// its wire profile, plus the store's query-stats registry accessors. The
-// profile answers the planner questions that are otherwise invisible
-// per-request — which backend served the query, whether the cache answered
-// it, how each step narrowed the candidate set, and what the ancestor-test
-// fast path did — in the probe-count-and-label-bits currency ancestry
-// labeling schemes are compared by.
+// Explain support: the helpers the shared read path (beginRead) uses to
+// dress an execution in its wire profile, plus the store's query-stats
+// registry accessors. The profile answers the planner questions that are
+// otherwise invisible per-request — which scheme served the query, whether
+// the cache answered it, how each step narrowed the candidate set, and what
+// the ancestor-test fast path did — in the probe-count-and-label-bits
+// currency ancestry labeling schemes are compared by.
 
 import (
 	"context"
@@ -24,16 +24,6 @@ func (s *Store) QueryStats() *querystats.Registry { return s.querystats }
 // bounded to n shapes (<= 0 selects the default). Call before the store
 // starts serving; statistics recorded so far are discarded.
 func (s *Store) SetQueryStatsCapacity(n int) { s.querystats = querystats.New(n) }
-
-// backendName names the labeling that serves a read: the frozen compact
-// overlay when the freeze policy routed the query there, otherwise the
-// document's own scheme. Called under the document lock.
-func (d *document) backendName(frozenServe bool) string {
-	if frozenServe {
-		return "frozen-compact"
-	}
-	return d.lab.SchemeName()
-}
 
 // fastpathCounters snapshots the registry-owned ancestor-fastpath counters.
 // The counters are global across documents, so a before/after delta taken
@@ -60,8 +50,6 @@ func explainSteps(ex *rdb.Explain) []api.ExplainStep {
 			Candidates: st.Candidates,
 			Pairs:      st.Pairs,
 			Emitted:    st.Emitted,
-			Parallel:   st.Parallel,
-			Shards:     st.Shards,
 			JoinPlan:   st.JoinPlan,
 		}
 	}
@@ -69,7 +57,7 @@ func explainSteps(ex *rdb.Explain) []api.ExplainStep {
 }
 
 // explainStages renders the spans the request's trace has completed so far
-// (for a query: lock_wait, cache_lookup, xpath_eval, query_fanout). Nil when
+// (for a query: lock_wait, cache_lookup, xpath_eval, materialize). Nil when
 // the context carries no trace.
 func explainStages(ctx context.Context) []api.ExplainStage {
 	tr := trace.FromContext(ctx)

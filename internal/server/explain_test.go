@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"primelabel/internal/server/api"
+	"primelabel/internal/server/client"
 )
 
 // explainAxisQueries exercises every axis against the sampleXML store plus
@@ -47,25 +48,40 @@ func stripExplain(t *testing.T, resp api.QueryResponse) string {
 
 // TestExplainParityAcrossBackends drives two identical documents through the
 // same query sequence — one with ?explain=1, one without — and requires
-// byte-identical responses modulo the explain field, on the prime backend,
-// on cache hits, and again after freezing both documents onto the compact
-// overlay.
+// byte-identical responses modulo the explain field, for several serving
+// schemes, on cache misses, on cache hits, and again after a write.
 func TestExplainParityAcrossBackends(t *testing.T) {
-	srv, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
-	for _, name := range []string{"plain", "profiled"} {
-		if _, err := c.Load(name, api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
-			t.Fatal(err)
+	_, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
+	for _, backend := range []struct {
+		name string
+		req  api.LoadRequest
+	}{
+		{"prime", api.LoadRequest{XML: sampleXML, TrackOrder: true}},
+		{"interval-xiss", api.LoadRequest{XML: sampleXML, Scheme: "interval"}},
+		{"prefix-2+ordered", api.LoadRequest{XML: sampleXML, Scheme: "prefix-2", OrderPreserving: true}},
+	} {
+		plain, profiled := backend.name+"-plain", backend.name+"-profiled"
+		for _, name := range []string{plain, profiled} {
+			if _, err := c.Load(name, backend.req); err != nil {
+				t.Fatal(err)
+			}
 		}
+		explainParityRounds(t, c, plain, profiled, backend.name)
 	}
+}
 
+// explainParityRounds runs TestExplainParityAcrossBackends' query rounds
+// against one pair of identical documents served by the named scheme.
+func explainParityRounds(t *testing.T, c *client.Client, plainDoc, profiledDoc, scheme string) {
+	t.Helper()
 	runRound := func(wantBackend string, wantCacheHit bool) {
 		t.Helper()
 		for _, q := range explainAxisQueries {
-			plain, err := c.Query("plain", q)
+			plain, err := c.Query(plainDoc, q)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			profiled, err := c.QueryExplain("profiled", q)
+			profiled, err := c.QueryExplain(profiledDoc, q)
 			if err != nil {
 				t.Fatalf("%s (explain): %v", q, err)
 			}
@@ -89,28 +105,20 @@ func TestExplainParityAcrossBackends(t *testing.T) {
 		}
 	}
 
-	runRound("prime", false) // cache misses on the prime backend
-	runRound("prime", true)  // identical repeats: cache hits
+	runRound(scheme, false) // cache misses
+	runRound(scheme, true)  // identical repeats: cache hits
 
-	for _, name := range []string{"plain", "profiled"} {
-		if err := srv.store.FreezeDoc(name); err != nil {
-			t.Fatalf("FreezeDoc(%s): %v", name, err)
-		}
-	}
-	runRound("frozen-compact", true) // freeze keeps the generation: still cached
-
-	// Thaw both docs with an identical write; misses re-run on the prime
-	// backend (the write thawed the overlay) with parity intact.
-	for _, name := range []string{"plain", "profiled"} {
+	// An identical write to both docs; misses re-run with parity intact.
+	for _, name := range []string{plainDoc, profiledDoc} {
 		if _, err := c.Insert(name, 0, 0, "annex"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	runRound("prime", false)
+	runRound(scheme, false)
 
 	// A bad query fails identically in both modes.
-	_, plainErr := c.Query("plain", "///")
-	_, explainErr := c.QueryExplain("profiled", "///")
+	_, plainErr := c.Query(plainDoc, "///")
+	_, explainErr := c.QueryExplain(profiledDoc, "///")
 	if plainErr == nil || explainErr == nil || plainErr.Error() != explainErr.Error() {
 		t.Errorf("error parity broken: plain %v, explain %v", plainErr, explainErr)
 	}
@@ -120,7 +128,7 @@ func TestExplainParityAcrossBackends(t *testing.T) {
 // prime-backed document: the normalized shape, per-step narrowing that adds
 // up, fastpath counter deltas, label-bit stats, and stage timings.
 func TestExplainProfileContents(t *testing.T) {
-	_, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
+	srv, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
 	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +181,29 @@ func TestExplainProfileContents(t *testing.T) {
 	}
 	if hx := hit.Explain; hx == nil || !hx.CacheHit || len(hx.Steps) != 0 || hx.Backend != "prime" {
 		t.Errorf("cache-hit profile wrong: %+v", hit.Explain)
+	}
+
+	// Count and stream misses take the same read path and carry the same
+	// fastpath deltas.
+	ctx := context.Background()
+	cnt, err := srv.store.QueryMode(ctx, "books", "//title", api.QueryModeCount, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cnt.Explain == nil || cnt.Explain.Fastpath == nil {
+		t.Errorf("count-mode miss carries no fastpath counters: %+v", cnt.Explain)
+	}
+	var done *api.QueryExplain
+	if err := srv.store.QueryStream(ctx, "books", "//shelf", true, func(v any) error {
+		if ch, ok := v.(api.StreamChunk); ok && ch.Done {
+			done = ch.Explain
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if done == nil || !done.Streamed || done.Fastpath == nil {
+		t.Errorf("streamed miss carries no fastpath counters: %+v", done)
 	}
 }
 
@@ -262,11 +293,8 @@ func TestQueryStatsEndpoint(t *testing.T) {
 // labeld_querystats_* families: every series HELP-ed, gauges matching the
 // registry, counters consistent with the traffic just generated.
 func TestQueryStatsExposition(t *testing.T) {
-	srv, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second, QueryStatsShapes: 64})
+	_, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second, QueryStatsShapes: 64})
 	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.store.FreezeDoc("books"); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"//book", "//book", "//title"} {
@@ -292,7 +320,6 @@ func TestQueryStatsExposition(t *testing.T) {
 		"labeld_querystats_calls_total",
 		"labeld_querystats_errors_total",
 		"labeld_querystats_cache_hits_total",
-		"labeld_querystats_frozen_serves_total",
 		"labeld_querystats_latency_seconds",
 		"labeld_querystats_candidates",
 	} {
@@ -311,9 +338,6 @@ func TestQueryStatsExposition(t *testing.T) {
 	}
 	if values["labeld_querystats_cache_hits_total"] != 1 {
 		t.Errorf("cache_hits_total = %g, want 1 (//book repeated)", values["labeld_querystats_cache_hits_total"])
-	}
-	if v := values["labeld_querystats_frozen_serves_total"]; v != 4 {
-		t.Errorf("frozen_serves_total = %g, want 4 (every query hit the frozen doc)", v)
 	}
 	if values["labeld_querystats_shapes"] != 3 {
 		t.Errorf("shapes gauge = %g, want 3", values["labeld_querystats_shapes"])
@@ -526,10 +550,10 @@ func TestCrossNodeTrace(t *testing.T) {
 	})
 }
 
-// TestExplainFreezeStress races explain-mode queries against freeze/thaw
-// cycles and batched updates; run under -race it pins the locking of the
-// whole introspection plane.
-func TestExplainFreezeStress(t *testing.T) {
+// TestExplainWriteStress races explain-mode queries against batched
+// updates; run under -race it pins the locking of the whole introspection
+// plane.
+func TestExplainWriteStress(t *testing.T) {
 	st := NewStore(NewMetrics(), 0)
 	ctx := context.Background()
 	if _, err := st.Load(ctx, "books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
@@ -574,10 +598,6 @@ func TestExplainFreezeStress(t *testing.T) {
 			{Op: api.OpInsert, Parent: 6, Index: 0, Tag: "book"},
 		}}
 		for i := 0; i < 50; i++ {
-			if err := st.FreezeDoc("books"); err != nil {
-				errs <- fmt.Errorf("freeze: %w", err)
-				return
-			}
 			if _, err := st.UpdateBatch(ctx, "books", batch); err != nil {
 				errs <- fmt.Errorf("batch: %w", err)
 				return
@@ -589,7 +609,7 @@ func TestExplainFreezeStress(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	calls, errors, _, _, _ := st.QueryStats().Totals()
+	calls, errors, _, _ := st.QueryStats().Totals()
 	if want := uint64(readers * iters); calls != want {
 		t.Errorf("querystats recorded %d calls, want %d", calls, want)
 	}

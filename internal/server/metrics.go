@@ -53,10 +53,6 @@ type Metrics struct {
 	endpoints    map[string]*endpointStats
 	endpointList []string
 
-	// Parallel-query counters: scans the executor sharded across workers
-	// and the shards it spawned doing so.
-	queryFanOuts atomic.Uint64
-	queryShards  atomic.Uint64
 	// Materialization-skipping terminals: count/exists-mode queries (no
 	// node refs built) and streamed queries (refs built chunk by chunk
 	// after the header left).
@@ -77,17 +73,9 @@ type Metrics struct {
 	reindexIncr      atomic.Uint64
 	journalBatchSize *hist.Histogram
 
-	// Adaptive-freeze counters (see freeze.go): documents re-labeled into
-	// the compact scheme because their update rate fell off, documents
-	// thawed back by a write, and background freezes that failed or were
-	// abandoned because a write raced the build. Per-backend relation-probe
-	// latency splits the frozen path's constant-time comparisons from the
-	// base scheme's (potentially big-integer) arithmetic.
-	freezes        atomic.Uint64
-	thaws          atomic.Uint64
-	freezeFailures atomic.Uint64
-	probeBase      *hist.Histogram
-	probeFrozen    *hist.Histogram
+	// probe is the relation-probe latency: the element table's structural
+	// column comparisons, or the labeling's Before on a table without order.
+	probe *hist.Histogram
 
 	// stages holds one duration histogram per traced stage (the closed set
 	// in trace.Stages), built once at startup and read without locking.
@@ -150,8 +138,7 @@ func NewMetrics() *Metrics {
 		endpoints:        make(map[string]*endpointStats),
 		stages:           make(map[string]*hist.Histogram),
 		journalBatchSize: hist.New(batchSizeBounds),
-		probeBase:        hist.NewDefault(),
-		probeFrozen:      hist.NewDefault(),
+		probe:            hist.NewDefault(),
 	}
 	for _, name := range endpointNames {
 		m.endpoints[name] = &endpointStats{latency: hist.NewDefault()}
@@ -222,10 +209,6 @@ func (m *Metrics) WriteText(w io.Writer) {
 	line("labeld_query_cache_misses_total %d", m.cacheMisses.Load())
 	line("# HELP labeld_query_cache_hit_rate Hit fraction over all queries.")
 	line("labeld_query_cache_hit_rate %g", m.CacheHitRate())
-	line("# HELP labeld_query_parallel_fanouts_total Query operator scans the executor sharded across workers.")
-	line("labeld_query_parallel_fanouts_total %d", m.queryFanOuts.Load())
-	line("# HELP labeld_query_parallel_shards_total Shards spawned by parallel operator scans.")
-	line("labeld_query_parallel_shards_total %d", m.queryShards.Load())
 	line("# HELP labeld_query_count_mode_total Count/exists-mode queries served without materializing node refs.")
 	line("labeld_query_count_mode_total %d", m.queryCountMode.Load())
 	line("# HELP labeld_query_streamed_total Queries served over the chunked NDJSON streaming endpoint.")
@@ -250,15 +233,8 @@ func (m *Metrics) WriteText(w io.Writer) {
 	line(`labeld_reindex_total{kind="incremental"} %d`, m.reindexIncr.Load())
 	line("# HELP labeld_slow_requests_total Requests that exceeded the slow-request threshold and were logged in full.")
 	line("labeld_slow_requests_total %d", m.slowRequests.Load())
-	line("# HELP labeld_freezes_total Documents re-labeled into the compact fixed-width scheme because their update rate fell below the freeze policy.")
-	line("labeld_freezes_total %d", m.freezes.Load())
-	line("# HELP labeld_thaws_total Frozen documents dropped back to their dynamic scheme by a write.")
-	line("labeld_thaws_total %d", m.thaws.Load())
-	line("# HELP labeld_freeze_failures_total Background freezes that failed or were abandoned because a write raced the re-label.")
-	line("labeld_freeze_failures_total %d", m.freezeFailures.Load())
-	line("# HELP labeld_probe_duration_seconds Relation-probe latency by serving backend: base is the document's own scheme, frozen the compact overlay.")
-	writeHistogram(line, "labeld_probe_duration_seconds", "backend", "base", m.probeBase.Snapshot())
-	writeHistogram(line, "labeld_probe_duration_seconds", "backend", "frozen", m.probeFrozen.Snapshot())
+	line("# HELP labeld_probe_duration_seconds Relation-probe latency (ancestor, parent and before probes answered from the element table).")
+	writeBareHistogram(line, "labeld_probe_duration_seconds", m.probe.Snapshot())
 
 	line("# HELP labeld_snapshots_total Document snapshots written (initial, compaction, shutdown).")
 	line("labeld_snapshots_total %d", m.snapshots.Load())
@@ -387,7 +363,7 @@ func (s *Store) WriteCacheMetrics(w io.Writer) {
 func (s *Store) WriteQueryStatsMetrics(w io.Writer) {
 	line := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
 	qs := s.querystats
-	calls, errs, cacheHits, frozenServes, evictions := qs.Totals()
+	calls, errs, cacheHits, evictions := qs.Totals()
 	line("# HELP labeld_querystats_shapes Distinct (document, query shape) entries currently tracked (gauge).")
 	line("labeld_querystats_shapes %d", qs.Len())
 	line("# HELP labeld_querystats_shape_capacity Entry bound of the query-stats registry (gauge).")
@@ -400,8 +376,6 @@ func (s *Store) WriteQueryStatsMetrics(w io.Writer) {
 	line("labeld_querystats_errors_total %d", errs)
 	line("# HELP labeld_querystats_cache_hits_total Recorded queries answered from the query cache.")
 	line("labeld_querystats_cache_hits_total %d", cacheHits)
-	line("# HELP labeld_querystats_frozen_serves_total Recorded queries evaluated on a frozen compact overlay.")
-	line("labeld_querystats_frozen_serves_total %d", frozenServes)
 	line("# HELP labeld_querystats_latency_seconds Query latency as observed by the query-stats registry (all documents and shapes).")
 	writeBareHistogram(line, "labeld_querystats_latency_seconds", qs.Latency())
 	line("# HELP labeld_querystats_candidates Candidate rows scanned per uncached query (unitless histogram).")

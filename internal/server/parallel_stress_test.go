@@ -8,15 +8,12 @@ import (
 	"primelabel/internal/server/api"
 )
 
-// TestParallelQueriesDuringBatchedUpdates races sharded query evaluation
+// TestParallelQueriesDuringBatchedUpdates races concurrent readers
 // against batched and single updates on the same document, under both
 // reindex paths: one document patches its element table incrementally, the
-// other forces a full rebuild per op (which must carry the table's
-// parallelism settings onto the fresh table). Fan-out is forced (worker
-// count 4, work threshold 1) so every descendant scan shards even while
-// writers are bumping the generation. Run with -race; the invariant beyond
-// "no race, no error" is that //book counts only grow, since the writers
-// only insert.
+// other forces a full rebuild per op (which must carry the table's planner
+// onto the fresh table). Run with -race; the invariant beyond "no race, no
+// error" is that //book counts only grow, since the writers only insert.
 func TestParallelQueriesDuringBatchedUpdates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -35,8 +32,6 @@ func TestParallelQueriesDuringBatchedUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.noPatch = doc.noPatch
-		d.table.Parallelism = 4
-		d.table.MinParallelWork = 1
 	}
 
 	queries := []string{"//book", "/store//book", "//shelf//following::book", "//book//preceding::shelf"}
@@ -110,8 +105,5 @@ func TestParallelQueriesDuringBatchedUpdates(t *testing.T) {
 		if resp.Count != want {
 			t.Errorf("%s: final //book count %d, want %d", name, resp.Count, want)
 		}
-	}
-	if st.metrics.queryFanOuts.Load() == 0 {
-		t.Error("no query fanned out despite forced parallelism — the stress ran sequentially")
 	}
 }

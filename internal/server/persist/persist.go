@@ -76,13 +76,6 @@ type Meta struct {
 	// Relabeled is the cumulative relabel counter at snapshot time — the
 	// paper's cost metric, preserved across restarts.
 	Relabeled uint64 `json:"relabeled"`
-	// Frozen records that the document was serving from its compact frozen
-	// overlay at snapshot time; recovery and replica snapshot installs
-	// rebuild the overlay so the document comes back with the same serving
-	// backend. The overlay itself is not stored — compact labels are
-	// derivable from the tree, and any journal record past the snapshot
-	// implies a write that thawed it.
-	Frozen bool `json:"frozen,omitempty"`
 	// FenceEpoch is the document's fencing epoch at snapshot time (see
 	// Record.Fence). Promotion bumps the epoch and immediately snapshots,
 	// so the bump survives a restart even before the next journaled write.

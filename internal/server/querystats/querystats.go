@@ -3,7 +3,7 @@
 // the store serves is recorded under its normalized shape (positional
 // predicates masked, so /a/b[1] and /a/b[7] aggregate together), giving
 // operators call counts, latency and candidate-volume distributions,
-// cache-hit and frozen-serve ratios, and — for each shape — the execution
+// cache-hit ratios, and — for each shape — the execution
 // profile captured at its slowest call.
 //
 // Memory is bounded two ways: the entry table is an LRU over shapes with a
@@ -43,16 +43,15 @@ type Key struct {
 
 // entry is one (doc, shape)'s live aggregate.
 type entry struct {
-	key          Key
-	calls        uint64
-	errors       uint64
-	cacheHits    uint64
-	frozenServes uint64
-	latency      *hist.Histogram
-	candidates   *hist.Histogram
-	maxLatency   time.Duration
-	slowProfile  *api.QueryExplain
-	elem         *list.Element
+	key         Key
+	calls       uint64
+	errors      uint64
+	cacheHits   uint64
+	latency     *hist.Histogram
+	candidates  *hist.Histogram
+	maxLatency  time.Duration
+	slowProfile *api.QueryExplain
+	elem        *list.Element
 }
 
 // Sample is one query execution as the store reports it.
@@ -65,10 +64,9 @@ type Sample struct {
 	Latency time.Duration
 	// Candidates is the executor's candidate-row volume (0 on cache hits).
 	Candidates int
-	// CacheHit, Frozen and Err classify the call: answered from the query
-	// cache, evaluated on the frozen compact overlay, or failed.
+	// CacheHit and Err classify the call: answered from the query cache, or
+	// failed.
 	CacheHit bool
-	Frozen   bool
 	Err      bool
 	// Profile is the call's execution profile; the registry keeps the one
 	// attached to the shape's slowest call so far. Callers pass the full
@@ -90,13 +88,12 @@ type Registry struct {
 
 	// Registry-wide monotonic totals (survive entry eviction) plus global
 	// latency/candidate histograms for the exposition series.
-	calls        atomic.Uint64
-	errors       atomic.Uint64
-	cacheHits    atomic.Uint64
-	frozenServes atomic.Uint64
-	evictions    atomic.Uint64
-	latency      *hist.Histogram
-	candidates   *hist.Histogram
+	calls      atomic.Uint64
+	errors     atomic.Uint64
+	cacheHits  atomic.Uint64
+	evictions  atomic.Uint64
+	latency    *hist.Histogram
+	candidates *hist.Histogram
 }
 
 // New returns a registry bounded to capacity entries (DefaultCapacity when
@@ -151,9 +148,6 @@ func (r *Registry) Record(s Sample) {
 	if s.CacheHit {
 		r.cacheHits.Add(1)
 	}
-	if s.Frozen {
-		r.frozenServes.Add(1)
-	}
 	r.latency.Observe(s.Latency)
 	if !s.CacheHit {
 		r.candidates.ObserveValue(float64(s.Candidates))
@@ -189,9 +183,6 @@ func (r *Registry) Record(s Sample) {
 	if s.CacheHit {
 		e.cacheHits++
 	}
-	if s.Frozen {
-		e.frozenServes++
-	}
 	e.latency.Observe(s.Latency)
 	if !s.CacheHit {
 		e.candidates.ObserveValue(float64(s.Candidates))
@@ -212,10 +203,9 @@ func (r *Registry) Len() int {
 }
 
 // Totals returns the registry-wide monotonic counters: calls, errors, cache
-// hits, frozen serves, and LRU evictions.
-func (r *Registry) Totals() (calls, errors, cacheHits, frozenServes, evictions uint64) {
-	return r.calls.Load(), r.errors.Load(), r.cacheHits.Load(),
-		r.frozenServes.Load(), r.evictions.Load()
+// hits, and LRU evictions.
+func (r *Registry) Totals() (calls, errors, cacheHits, evictions uint64) {
+	return r.calls.Load(), r.errors.Load(), r.cacheHits.Load(), r.evictions.Load()
 }
 
 // Latency returns a snapshot of the registry-wide latency histogram.
@@ -256,17 +246,16 @@ func (r *Registry) Snapshot(doc string, k int) api.QueryStatsResponse {
 func (e *entry) wire() api.QueryStatsEntry {
 	lat := e.latency.Snapshot()
 	out := api.QueryStatsEntry{
-		Doc:          e.key.Doc,
-		Shape:        e.key.Shape,
-		Calls:        e.calls,
-		Errors:       e.errors,
-		CacheHits:    e.cacheHits,
-		FrozenServes: e.frozenServes,
-		TotalMS:      lat.SumSeconds * 1e3,
-		P50MS:        float64(lat.Quantile(0.50)) / 1e6,
-		P95MS:        float64(lat.Quantile(0.95)) / 1e6,
-		MaxMS:        float64(e.maxLatency) / 1e6,
-		SlowProfile:  e.slowProfile,
+		Doc:         e.key.Doc,
+		Shape:       e.key.Shape,
+		Calls:       e.calls,
+		Errors:      e.errors,
+		CacheHits:   e.cacheHits,
+		TotalMS:     lat.SumSeconds * 1e3,
+		P50MS:       float64(lat.Quantile(0.50)) / 1e6,
+		P95MS:       float64(lat.Quantile(0.95)) / 1e6,
+		MaxMS:       float64(e.maxLatency) / 1e6,
+		SlowProfile: e.slowProfile,
 	}
 	if lat.Count > 0 {
 		out.MeanMS = out.TotalMS / float64(lat.Count)

@@ -37,7 +37,7 @@ func TestRecordAggregatesPerEntry(t *testing.T) {
 	r := New(8)
 	r.Record(Sample{Doc: "d", Query: "//a", Latency: 2 * time.Millisecond, Candidates: 10})
 	r.Record(Sample{Doc: "d", Query: "//a", Latency: 1 * time.Millisecond, CacheHit: true})
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 3 * time.Millisecond, Candidates: 30, Frozen: true})
+	r.Record(Sample{Doc: "d", Query: "//a", Latency: 3 * time.Millisecond, Candidates: 30})
 	r.Record(Sample{Doc: "d", Query: "///", Latency: time.Microsecond, Err: true})
 
 	snap := r.Snapshot("d", 0)
@@ -46,7 +46,7 @@ func TestRecordAggregatesPerEntry(t *testing.T) {
 	}
 	// //a dominates by total time, so it sorts first.
 	e := snap.Entries[0]
-	if e.Shape != "//a" || e.Calls != 3 || e.CacheHits != 1 || e.FrozenServes != 1 {
+	if e.Shape != "//a" || e.Calls != 3 || e.CacheHits != 1 {
 		t.Errorf("aggregate wrong: %+v", e)
 	}
 	// Cache hits skip the candidate histogram: mean over the two misses.
@@ -60,9 +60,9 @@ func TestRecordAggregatesPerEntry(t *testing.T) {
 		t.Errorf("error entry wrong: %+v", bad)
 	}
 
-	calls, errs, hits, frozen, evict := r.Totals()
-	if calls != 4 || errs != 1 || hits != 1 || frozen != 1 || evict != 0 {
-		t.Errorf("totals = %d %d %d %d %d", calls, errs, hits, frozen, evict)
+	calls, errs, hits, evict := r.Totals()
+	if calls != 4 || errs != 1 || hits != 1 || evict != 0 {
+		t.Errorf("totals = %d %d %d %d", calls, errs, hits, evict)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestLRUEvictionKeepsTotalsMonotonic(t *testing.T) {
 	if r.Len() != 4 {
 		t.Errorf("Len = %d, want capacity 4", r.Len())
 	}
-	calls, _, _, _, evictions := r.Totals()
+	calls, _, _, evictions := r.Totals()
 	if calls != 10 {
 		t.Errorf("calls total = %d, want 10 (must survive eviction)", calls)
 	}
@@ -135,7 +135,7 @@ func TestTenThousandShapesStayBounded(t *testing.T) {
 	if r.Len() > DefaultCapacity {
 		t.Errorf("registry grew past capacity: %d > %d", r.Len(), DefaultCapacity)
 	}
-	calls, _, _, _, evictions := r.Totals()
+	calls, _, _, evictions := r.Totals()
 	if calls != shapes {
 		t.Errorf("calls = %d, want %d", calls, shapes)
 	}
@@ -197,7 +197,7 @@ func TestRecordConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	calls, _, _, _, _ := r.Totals()
+	calls, _, _, _ := r.Totals()
 	if calls != workers*per {
 		t.Errorf("calls = %d, want %d", calls, workers*per)
 	}

@@ -190,23 +190,9 @@ func (s *Store) InstallSnapshot(ctx context.Context, name string, image []byte) 
 		relabeled:  meta.Relabeled,
 		fenceEpoch: meta.FenceEpoch,
 	}
-	d.lastWrite.Store(time.Now().UnixNano())
 	d.table = rdb.Build(lab)
 	d.table.Plan = plan
-	d.table.Parallelism = s.parallelism
 	d.table.Warm()
-	if meta.Frozen {
-		// The primary shipped this snapshot frozen; mirror its serving
-		// backend so reads on the replica get the same probe path. A
-		// build failure is non-fatal — the replica serves from the base
-		// scheme.
-		if fl, ft, order, ferr := buildFrozen(d); ferr != nil {
-			s.logger.Error("replica re-freeze failed; serving unfrozen", "doc", name, "err", ferr)
-		} else {
-			d.frozen, d.frozenTable, d.frozenOrder = fl, ft, order
-			d.isFrozen.Store(true)
-		}
-	}
 	endIndex()
 
 	if s.persist != nil && codec.Supported(lab) {
@@ -283,9 +269,6 @@ func (s *Store) applyRecordLocked(ctx context.Context, d *document, rec persist.
 		return d.gen, nil, fmt.Errorf("%w: record generation %d does not follow local generation %d (+%d ops)",
 			replica.ErrDiverged, rec.Gen, d.gen, steps)
 	}
-	// A replicated record is a write on the primary; it thaws the replica
-	// exactly as the original thawed the primary.
-	s.thawForWrite(ctx, d)
 	patched, err := d.replayRecord(rec, fmt.Sprintf("replicated record gen %d", rec.Gen), replica.ErrDiverged)
 	if err != nil {
 		// State is partially mutated; the caller drops the document.

@@ -29,11 +29,6 @@ type Config struct {
 	// CacheSize is the per-document query cache capacity (default 256;
 	// negative disables caching).
 	CacheSize int
-	// QueryParallelism is the worker count for parallel query evaluation:
-	// large candidate scans are sharded across this many workers. 1 keeps
-	// evaluation fully sequential; 0 or negative (the default) means auto —
-	// one worker per usable CPU.
-	QueryParallelism int
 	// RequestTimeout bounds each request's handling time (default 10s).
 	// Requests that exceed it receive 503 with a JSON error body.
 	RequestTimeout time.Duration
@@ -84,17 +79,6 @@ type Config struct {
 	// ReplicaHeartbeat is the idle heartbeat interval on replication streams
 	// this server serves to followers (default 3s).
 	ReplicaHeartbeat time.Duration
-	// FreezeAfter, when positive, enables adaptive freezing: a document
-	// with no write for this long (and at least FreezeMinReads reads since
-	// its last write) is re-labeled in the background into the compact
-	// fixed-width scheme and serves reads from constant-time integer
-	// comparisons until the next write thaws it. Zero (the default)
-	// disables freezing.
-	FreezeAfter time.Duration
-	// FreezeMinReads is the minimum number of reads since a document's last
-	// write before it qualifies for freezing (default 1). Only meaningful
-	// with FreezeAfter.
-	FreezeMinReads int
 	// ClusterNodes, when set, makes this server a cluster member: it lists
 	// every member's advertised base URL (including this server's own,
 	// ClusterSelf). Members probe each other's health, serve GET /topology,
@@ -192,8 +176,6 @@ func New(cfg Config) (*Server, error) {
 		store:   NewStore(m, cfg.CacheSize),
 	}
 	s.store.SetLogger(cfg.Logger)
-	s.store.SetParallelism(cfg.QueryParallelism)
-	s.store.SetFreezePolicy(cfg.FreezeAfter, cfg.FreezeMinReads)
 	s.store.SetQueryStatsCapacity(cfg.QueryStatsShapes)
 	if cfg.DataDir != "" {
 		mgr, err := persist.Open(cfg.DataDir, !cfg.NoFsync)
@@ -535,7 +517,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WriteText(w)
 	s.store.WriteCacheMetrics(w)
-	s.store.WriteFreezeMetrics(w)
 	s.store.WriteQueryStatsMetrics(w)
 	if f := s.currentFollower(); f != nil && s.readOnly.Load() {
 		f.WriteMetrics(w)

@@ -35,7 +35,6 @@ import (
 	"primelabel/internal/labeling/interval"
 	"primelabel/internal/labeling/prefix"
 	"primelabel/internal/labeling/prime"
-	"primelabel/internal/parallel"
 	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
 	"primelabel/internal/server/persist"
@@ -92,23 +91,6 @@ type document struct {
 	// incremental patch path could handle. Benchmark/test-only: set before
 	// the document serves traffic, never flipped at runtime.
 	noPatch bool
-
-	// Frozen-overlay state (see freeze.go). frozen and frozenTable are the
-	// compact re-label of the current tree plus its own warmed element
-	// table; both nil while the document serves from its base scheme, both
-	// guarded by mu like lab and table. frozenOrder mirrors the base
-	// scheme's document-order support so a frozen Before answers (or
-	// refuses) exactly as the base scheme would.
-	frozen      *compact.Labeling
-	frozenTable *rdb.Table
-	frozenOrder bool
-	// isFrozen mirrors frozen != nil for lock-free policy checks; freezing
-	// serializes overlay builds; lastWrite (unix nanos) and readsSinceWrite
-	// feed the freeze policy.
-	isFrozen        atomic.Bool
-	freezing        atomic.Bool
-	lastWrite       atomic.Int64
-	readsSinceWrite atomic.Uint64
 }
 
 // Store is the document registry.
@@ -128,47 +110,22 @@ type Store struct {
 	// snapshotEvery is the journal-records-per-snapshot compaction
 	// threshold.
 	snapshotEvery int
-	// parallelism is the worker count handed to every document's element
-	// table: 1 evaluates queries sequentially, more shards large candidate
-	// scans. Always a concrete count (auto requests are resolved against
-	// GOMAXPROCS when set).
-	parallelism int
-	// freezeAfter and freezeMinReads are the adaptive-freeze policy (see
-	// freeze.go): a document with no write for freezeAfter and at least
-	// freezeMinReads reads since its last write is re-labeled into the
-	// compact scheme in the background. freezeAfter <= 0 disables freezing.
-	freezeAfter    time.Duration
-	freezeMinReads uint64
 	// querystats is the pg_stat_statements-style registry every query is
 	// folded into under its normalized shape; see internal/server/querystats.
 	querystats *querystats.Registry
 }
 
 // NewStore returns an empty registry reporting into metrics. cacheCap is
-// the per-document LRU capacity (<= 0 disables query caching). Query
-// parallelism defaults to the number of usable CPUs; see SetParallelism.
+// the per-document LRU capacity (<= 0 disables query caching).
 func NewStore(metrics *Metrics, cacheCap int) *Store {
 	return &Store{
-		docs:        make(map[string]*document),
-		metrics:     metrics,
-		logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
-		cacheCap:    cacheCap,
-		parallelism: parallel.Workers(0),
-		querystats:  querystats.New(0),
+		docs:       make(map[string]*document),
+		metrics:    metrics,
+		logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+		cacheCap:   cacheCap,
+		querystats: querystats.New(0),
 	}
 }
-
-// SetParallelism sets the query worker count applied to subsequently
-// loaded or recovered documents: 1 disables parallel evaluation, larger
-// values shard big candidate scans across that many workers, and any
-// value <= 0 means auto (GOMAXPROCS). Call before the store starts
-// serving; documents already loaded keep their current setting.
-func (s *Store) SetParallelism(workers int) {
-	s.parallelism = parallel.Workers(workers)
-}
-
-// Parallelism returns the resolved query worker count new documents get.
-func (s *Store) Parallelism() int { return s.parallelism }
 
 // SetLogger directs the store's structured log output. Call before the
 // store starts serving; it is not safe to swap the logger concurrently
@@ -273,7 +230,6 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 	endIndex := trace.Start(ctx, trace.StageIndex)
 	table := rdb.Build(lab)
 	table.Plan = plan
-	table.Parallelism = s.parallelism
 	table.Warm()
 	endIndex()
 	d := &document{
@@ -283,7 +239,6 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 		table:   table,
 		cache:   newQueryCache(s.cacheCap),
 	}
-	d.lastWrite.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	old, existed := s.docs[name]
 	s.docs[name] = d
@@ -395,7 +350,7 @@ func (s *Store) Info(name string) (api.DocInfo, error) {
 // info snapshots the document's description. Callers hold d.mu (either
 // mode), except during Load where the document is not yet published.
 func (d *document) info() api.DocInfo {
-	info := api.DocInfo{
+	return api.DocInfo{
 		Name:         d.name,
 		Scheme:       d.lab.SchemeName(),
 		Planner:      d.planner,
@@ -405,152 +360,50 @@ func (d *document) info() api.DocInfo {
 		Relabeled:    d.relabeled,
 		Durable:      d.durable,
 	}
-	if d.frozen != nil {
-		info.Frozen = true
-		info.FrozenMaxLabelBits = d.frozen.MaxLabelBits()
-	}
-	return info
 }
 
 // Query evaluates an XPath-subset expression under the document's read
 // lock, consulting the per-document LRU first (entries computed at an
-// older generation are treated as misses). On a frozen document the join
-// runs against the compact overlay's table — same planner, constant-time
-// integer predicates — while node ids and labels still come from the base
-// table and labeling, so the response is byte-identical either way. A
-// trace carried by ctx records lock_wait, cache_lookup, and (on a miss)
-// xpath_eval and materialize spans plus a query_fanout span when the
-// executor sharded work across workers. Every call is also folded into the
-// query-stats registry under the query's normalized shape.
+// older generation are treated as misses). A trace carried by ctx records
+// lock_wait, cache_lookup, and (on a miss) xpath_eval and materialize
+// spans. Every call is also folded into the query-stats registry under the
+// query's normalized shape.
 func (s *Store) Query(ctx context.Context, name, query string) (*api.QueryResponse, error) {
 	return s.query(ctx, name, query, false)
 }
 
 // QueryExplain is Query with profiling: the response additionally carries a
-// QueryExplain describing the planner choice (cache hit, serving backend,
-// fan-out), per-step candidate/emitted counts, ancestor-fastpath counter
-// deltas on prime-backed documents, label-bit stats, and the request's
-// per-stage timings. The node set is exactly what Query would return.
+// QueryExplain describing the planner choice (cache hit, serving scheme),
+// per-step candidate/emitted counts, ancestor-fastpath counter deltas on
+// prime-backed documents, label-bit stats, and the request's per-stage
+// timings. The node set is exactly what Query would return.
 func (s *Store) QueryExplain(ctx context.Context, name, query string) (*api.QueryResponse, error) {
 	return s.query(ctx, name, query, true)
 }
 
 // query is the shared body of Query and QueryExplain.
 func (s *Store) query(ctx context.Context, name, query string, explain bool) (*api.QueryResponse, error) {
-	if query == "" {
-		return nil, fmt.Errorf("%w: empty xpath", ErrBadRequest)
-	}
-	d, err := s.get(name)
+	r, err := s.beginRead(ctx, name, query, explain, nil, query)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	s.metrics.queries.Add(1)
-	d.noteRead()
-	defer s.maybeFreeze(d)
-	endLock := trace.Start(ctx, trace.StageLockWait)
-	d.mu.RLock()
-	endLock()
+	d := r.d
 	defer d.mu.RUnlock()
-	endCache := trace.Start(ctx, trace.StageCacheLookup)
-	cached, ok := d.cache.get(query, d.gen)
-	endCache()
-	frozenServe := d.frozen != nil && d.frozenOrder
-	if ok {
-		s.metrics.cacheHits.Add(1)
-		resp := *cached
+	if r.hit != nil {
+		resp := *r.hit
 		resp.Cached = true
-		if explain {
-			resp.Explain = &api.QueryExplain{
-				Shape:    s.querystats.ShapeOf(query),
-				CacheHit: true,
-				Backend:  d.backendName(frozenServe),
-				Stages:   explainStages(ctx),
-			}
-		}
-		s.querystats.Record(querystats.Sample{
-			Doc: name, Query: query, Latency: time.Since(start),
-			CacheHit: true, Frozen: frozenServe,
-		})
+		resp.Explain = s.finishRead(ctx, &r)
 		return &resp, nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	table := d.table
-	if frozenServe {
-		// Both tables index the same tree in document order, so row ids are
-		// interchangeable; only the join predicates differ. The overlay is
-		// skipped when the base scheme lacks order support: a query over an
-		// ordered axis must fail exactly as the base table would, and the
-		// compact overlay would answer it instead.
-		table = d.frozenTable
-	}
-	var ex *rdb.Explain
-	var fpBefore api.ExplainFastpath
-	primeBacked := false
-	if explain {
-		ex = &rdb.Explain{}
-		if !frozenServe {
-			_, primeBacked = d.lab.(*prime.Labeling)
-		}
-		if primeBacked {
-			fpBefore = s.fastpathCounters()
-		}
-	}
-	endEval := trace.Start(ctx, trace.StageXPathEval)
-	rows, stats, err := table.ExecPathStringExplain(query, ex)
-	endEval()
-	trace.Observe(ctx, trace.StageQueryFanout, stats.FanOutTime)
-	if stats.FanOuts > 0 {
-		s.metrics.queryFanOuts.Add(uint64(stats.FanOuts))
-		s.metrics.queryShards.Add(uint64(stats.Shards))
-	}
-	if err != nil {
-		s.querystats.Record(querystats.Sample{
-			Doc: name, Query: query, Latency: time.Since(start),
-			Frozen: frozenServe, Err: true,
-		})
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	endMaterialize := trace.Start(ctx, trace.StageMaterialize)
 	resp := &api.QueryResponse{
 		Generation: d.gen,
-		Count:      len(rows),
-		Nodes:      make([]api.NodeRef, len(rows)),
-	}
-	for i, id := range rows {
-		n := d.table.Node(id)
-		resp.Nodes[i] = api.NodeRef{
-			ID:    id,
-			Path:  xmltree.PathTo(n),
-			Label: labelString(d.lab, n),
-			Text:  n.Text(),
-		}
+		Count:      len(r.rows),
+		Nodes:      d.nodeRefs(r.rows),
 	}
 	endMaterialize()
 	d.cache.put(query, d.gen, resp)
-
-	// Build the planner-summary profile on every miss (the query-stats
-	// registry attaches it to a shape's slowest call); step, fastpath and
-	// stage detail only when the caller asked for explain.
-	profile := d.queryProfile(s, query, stats, frozenServe)
-	if explain {
-		profile.Steps = explainSteps(ex)
-		if primeBacked {
-			after := s.fastpathCounters()
-			profile.Fastpath = &api.ExplainFastpath{
-				PrefilterRejects: after.PrefilterRejects - fpBefore.PrefilterRejects,
-				ExactU64:         after.ExactU64 - fpBefore.ExactU64,
-				ExactBig:         after.ExactBig - fpBefore.ExactBig,
-				ExactTrue:        after.ExactTrue - fpBefore.ExactTrue,
-			}
-		}
-		profile.Stages = explainStages(ctx)
-	}
-	s.querystats.Record(querystats.Sample{
-		Doc: name, Query: query, Latency: time.Since(start),
-		Candidates: stats.Candidates, Frozen: frozenServe, Profile: profile,
-	})
-	if explain {
+	if profile := s.finishRead(ctx, &r); profile != nil {
 		// The cache holds the profile-free response; the profiled copy is
 		// this request's alone.
 		out := *resp
@@ -558,6 +411,148 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 		return &out, nil
 	}
 	return resp, nil
+}
+
+// queryRead is one query's pass through the read path the query
+// terminals share (see beginRead).
+type queryRead struct {
+	d       *document
+	name    string
+	query   string
+	explain bool
+	start   time.Time
+	// hit is the cache entry that answered the query; nil on a miss.
+	hit *api.QueryResponse
+	// rows are the evaluated rows of a miss.
+	rows rdb.RowSet
+	// profile is a miss's planner profile (with per-step detail and
+	// fastpath deltas when explain is set), an explained hit's cache-hit
+	// stub, or nil on an unexplained hit.
+	profile *api.QueryExplain
+}
+
+// beginRead is the read path every query terminal shares. It counts the
+// query (and, when non-nil, the terminal's own mode counter), takes the
+// document's read lock (lock_wait span) and looks the query up in the
+// cache under each of keys in turn (cache_lookup span). On a miss it
+// evaluates the query (xpath_eval span) and builds the planner profile; an
+// evaluation error is recorded into query stats and returned. Unless it
+// returns an error, beginRead returns with r.d.mu read-locked: the caller
+// serves the answer, calls finishRead, and unlocks.
+func (s *Store) beginRead(ctx context.Context, name, query string, explain bool, mode *atomic.Uint64, keys ...string) (queryRead, error) {
+	if query == "" {
+		return queryRead{}, fmt.Errorf("%w: empty xpath", ErrBadRequest)
+	}
+	d, err := s.get(name)
+	if err != nil {
+		return queryRead{}, err
+	}
+	r := queryRead{d: d, name: name, query: query, explain: explain, start: time.Now()}
+	s.metrics.queries.Add(1)
+	if mode != nil {
+		mode.Add(1)
+	}
+	endLock := trace.Start(ctx, trace.StageLockWait)
+	d.mu.RLock()
+	endLock()
+	endCache := trace.Start(ctx, trace.StageCacheLookup)
+	for _, k := range keys {
+		if cached, ok := d.cache.get(k, d.gen); ok {
+			r.hit = cached
+			break
+		}
+	}
+	endCache()
+	if r.hit != nil {
+		s.metrics.cacheHits.Add(1)
+		if explain {
+			r.profile = &api.QueryExplain{
+				Shape:    s.querystats.ShapeOf(query),
+				CacheHit: true,
+				Backend:  d.lab.SchemeName(),
+			}
+		}
+		return r, nil
+	}
+	s.metrics.cacheMisses.Add(1)
+	var ex *rdb.Explain
+	var fpBefore api.ExplainFastpath
+	_, primeBacked := d.lab.(*prime.Labeling)
+	if explain {
+		ex = &rdb.Explain{}
+		if primeBacked {
+			fpBefore = s.fastpathCounters()
+		}
+	}
+	endEval := trace.Start(ctx, trace.StageXPathEval)
+	rows, stats, err := d.table.ExecPathStringExplain(query, ex)
+	endEval()
+	if err != nil {
+		d.mu.RUnlock()
+		s.querystats.Record(querystats.Sample{
+			Doc: name, Query: query, Latency: time.Since(r.start), Err: true,
+		})
+		return queryRead{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	r.rows = rows
+	// Every miss carries the planner summary (the query-stats registry
+	// attaches it to a shape's slowest call); step and fastpath detail only
+	// when the caller asked for explain.
+	r.profile = &api.QueryExplain{
+		Shape:        s.querystats.ShapeOf(query),
+		Backend:      d.lab.SchemeName(),
+		Candidates:   stats.Candidates,
+		MaxLabelBits: d.lab.MaxLabelBits(),
+	}
+	if explain {
+		r.profile.Steps = explainSteps(ex)
+		if primeBacked {
+			after := s.fastpathCounters()
+			r.profile.Fastpath = &api.ExplainFastpath{
+				PrefilterRejects: after.PrefilterRejects - fpBefore.PrefilterRejects,
+				ExactU64:         after.ExactU64 - fpBefore.ExactU64,
+				ExactBig:         after.ExactBig - fpBefore.ExactBig,
+				ExactTrue:        after.ExactTrue - fpBefore.ExactTrue,
+			}
+		}
+	}
+	return r, nil
+}
+
+// finishRead folds the read into query stats, with its latency from entry
+// to now, and returns the profile for the response: nil unless explain was
+// requested, else stamped with the stages the request's trace has
+// completed so far.
+func (s *Store) finishRead(ctx context.Context, r *queryRead) *api.QueryExplain {
+	sample := querystats.Sample{Doc: r.name, Query: r.query, CacheHit: r.hit != nil}
+	if r.hit == nil {
+		sample.Candidates = r.profile.Candidates
+		sample.Profile = r.profile
+	}
+	var out *api.QueryExplain
+	if r.explain {
+		r.profile.Stages = explainStages(ctx)
+		out = r.profile
+	}
+	sample.Latency = time.Since(r.start)
+	s.querystats.Record(sample)
+	return out
+}
+
+// nodeRefs materializes rows as response node refs: path, label and text
+// for every row. Callers hold d.mu.
+func (d *document) nodeRefs(rows rdb.RowSet) []api.NodeRef {
+	out := make([]api.NodeRef, len(rows))
+	for i, id := range rows {
+		n := d.table.Node(id)
+		out[i] = api.NodeRef{
+			ID:    id,
+			Path:  xmltree.PathTo(n),
+			Label: labelString(d.lab, n),
+			Text:  n.Text(),
+		}
+	}
+	return out
 }
 
 // node resolves a document-order id under the caller-held lock.
@@ -576,21 +571,20 @@ func (d *document) checkGeneration(want *uint64) error {
 	return nil
 }
 
-// Relation answers an ancestor/parent/before probe from labels alone — on
-// a frozen document from the compact overlay's two-word labels (constant
-// integer comparisons), otherwise from the base scheme. The two backends
-// return identical results: the overlay describes the same tree, and a
-// frozen Before delegates back to the base labeling when that scheme lacks
-// order support, so even the error is the base scheme's. A trace carried
-// by ctx records lock_wait and label_probe spans; per-backend latency
-// feeds labeld_probe_duration_seconds.
+// Relation answers an ancestor/parent/before probe from the element
+// table's structural columns. Node ids are row ids, so a is a proper
+// ancestor of b iff a < b <= Extent(a), the parent additionally sits one
+// level above b, and on an ordered table a precedes b iff a < b — integer
+// comparisons, whatever the scheme's label arithmetic. A table without
+// order (a scheme without order support) asks the labeling's Before, so
+// such a probe fails exactly as that scheme does. A trace carried by ctx
+// records lock_wait and label_probe spans; the probe's latency feeds
+// labeld_probe_duration_seconds.
 func (s *Store) Relation(ctx context.Context, name string, req api.RelationRequest) (api.RelationResponse, error) {
 	d, err := s.get(name)
 	if err != nil {
 		return api.RelationResponse{}, err
 	}
-	d.noteRead()
-	defer s.maybeFreeze(d)
 	endLock := trace.Start(ctx, trace.StageLockWait)
 	d.mu.RLock()
 	endLock()
@@ -598,50 +592,34 @@ func (s *Store) Relation(ctx context.Context, name string, req api.RelationReque
 	if err := d.checkGeneration(req.Generation); err != nil {
 		return api.RelationResponse{}, err
 	}
-	a, err := d.node(req.A)
+	an, err := d.node(req.A)
 	if err != nil {
 		return api.RelationResponse{}, err
 	}
-	b, err := d.node(req.B)
+	bn, err := d.node(req.B)
 	if err != nil {
 		return api.RelationResponse{}, err
 	}
-	lab := d.lab
-	frozen := d.frozen != nil
 	endProbe := trace.Start(ctx, trace.StageLabelProbe)
 	defer endProbe()
 	probeStart := time.Now()
+	t, a, b := d.table, req.A, req.B
 	var result bool
 	switch req.Kind {
 	case api.RelAncestor:
-		if frozen {
-			result = d.frozen.IsAncestor(a, b)
-		} else {
-			result = lab.IsAncestor(a, b)
-		}
+		result = a < b && b <= t.Extent(a)
 	case api.RelParent:
-		if frozen {
-			result = d.frozen.IsParent(a, b)
-		} else {
-			result = lab.IsParent(a, b)
-		}
+		result = a < b && b <= t.Extent(a) && t.Depth(b) == t.Depth(a)+1
 	case api.RelBefore:
-		if frozen && d.frozenOrder {
-			result, err = d.frozen.Before(a, b)
-		} else {
-			result, err = lab.Before(a, b)
-		}
-		if err != nil {
+		if t.Ordered() {
+			result = a < b
+		} else if result, err = d.lab.Before(an, bn); err != nil {
 			return api.RelationResponse{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	default:
 		return api.RelationResponse{}, fmt.Errorf("%w: unknown relation %q", ErrBadRequest, req.Kind)
 	}
-	if frozen {
-		s.metrics.probeFrozen.Observe(time.Since(probeStart))
-	} else {
-		s.metrics.probeBase.Observe(time.Since(probeStart))
-	}
+	s.metrics.probe.Observe(time.Since(probeStart))
 	return api.RelationResponse{Generation: d.gen, Result: result}, nil
 }
 
@@ -774,8 +752,6 @@ func (d *document) finishOp(patched bool) {
 		old := d.table
 		d.table = rdb.Build(d.lab)
 		d.table.Plan = old.Plan
-		d.table.Parallelism = old.Parallelism
-		d.table.MinParallelWork = old.MinParallelWork
 	}
 	d.gen++
 }
@@ -844,7 +820,6 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 	if err := d.checkGeneration(req.Generation); err != nil {
 		return api.UpdateResponse{}, nil, err
 	}
-	s.thawForWrite(ctx, d)
 
 	endRelabel := trace.Start(ctx, trace.StageRelabel)
 	count, touched, applied, patched, opErr := d.applyOpIndexed(req)
@@ -953,7 +928,6 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 	if err := d.checkGeneration(req.Generation); err != nil {
 		return api.BatchUpdateResponse{}, nil, 0, err
 	}
-	s.thawForWrite(ctx, d)
 
 	resp := api.BatchUpdateResponse{Failed: -1}
 	var (

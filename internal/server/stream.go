@@ -2,22 +2,18 @@ package server
 
 // Materialization-skipping query terminals: count/exists modes that never
 // build node refs, and chunked NDJSON streaming that delivers the first
-// bytes before materialization starts. Both share Store.query's locking,
-// caching, freeze-routing and accounting contracts — only the terminal
-// differs, which is the point: on a 12k-row result the node-ref loop
-// (paths, labels, text) dominates evaluation, so skipping or chunking it
-// is where the latency goes.
+// bytes before materialization starts. Both share Store.query's read path
+// (beginRead/finishRead: locking, caching, evaluation and accounting) —
+// only the terminal differs, which is the point: on a 12k-row result the
+// node-ref loop (paths, labels, text) dominates evaluation, so skipping or
+// chunking it is where the latency goes.
 
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
-	"primelabel/internal/server/querystats"
 	"primelabel/internal/server/trace"
-	"primelabel/internal/xmltree"
 )
 
 // countCacheKey is the query-cache slot for a query's materialization-free
@@ -61,105 +57,22 @@ func modeResponse(gen uint64, count int, mode string) *api.QueryResponse {
 // on miss, so repeated count() polling of a large result costs one
 // evaluation per generation and zero materializations ever.
 func (s *Store) queryFast(ctx context.Context, name, query, mode string, explain bool) (*api.QueryResponse, error) {
-	if query == "" {
-		return nil, fmt.Errorf("%w: empty xpath", ErrBadRequest)
-	}
-	d, err := s.get(name)
+	r, err := s.beginRead(ctx, name, query, explain, &s.metrics.queryCountMode, query, countCacheKey(query))
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	s.metrics.queries.Add(1)
-	s.metrics.queryCountMode.Add(1)
-	d.noteRead()
-	defer s.maybeFreeze(d)
-	endLock := trace.Start(ctx, trace.StageLockWait)
-	d.mu.RLock()
-	endLock()
+	d := r.d
 	defer d.mu.RUnlock()
-	endCache := trace.Start(ctx, trace.StageCacheLookup)
-	cached, ok := d.cache.get(query, d.gen)
-	if !ok {
-		cached, ok = d.cache.get(countCacheKey(query), d.gen)
-	}
-	endCache()
-	frozenServe := d.frozen != nil && d.frozenOrder
-	if ok {
-		s.metrics.cacheHits.Add(1)
-		resp := modeResponse(d.gen, cached.Count, mode)
-		resp.Cached = true
-		if explain {
-			resp.Explain = &api.QueryExplain{
-				Shape:    s.querystats.ShapeOf(query),
-				CacheHit: true,
-				Backend:  d.backendName(frozenServe),
-				Stages:   explainStages(ctx),
-			}
-		}
-		s.querystats.Record(querystats.Sample{
-			Doc: name, Query: query, Latency: time.Since(start),
-			CacheHit: true, Frozen: frozenServe,
-		})
-		return resp, nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	table := d.table
-	if frozenServe {
-		table = d.frozenTable
-	}
-	var ex *rdb.Explain
-	if explain {
-		ex = &rdb.Explain{}
-	}
-	endEval := trace.Start(ctx, trace.StageXPathEval)
-	rows, stats, err := table.ExecPathStringExplain(query, ex)
-	endEval()
-	trace.Observe(ctx, trace.StageQueryFanout, stats.FanOutTime)
-	if stats.FanOuts > 0 {
-		s.metrics.queryFanOuts.Add(uint64(stats.FanOuts))
-		s.metrics.queryShards.Add(uint64(stats.Shards))
-	}
-	if err != nil {
-		s.querystats.Record(querystats.Sample{
-			Doc: name, Query: query, Latency: time.Since(start),
-			Frozen: frozenServe, Err: true,
-		})
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	d.cache.put(countCacheKey(query), d.gen, &api.QueryResponse{Generation: d.gen, Count: len(rows)})
-	profile := d.queryProfile(s, query, stats, frozenServe)
-	if explain {
-		profile.Steps = explainSteps(ex)
-		profile.Stages = explainStages(ctx)
-	}
-	s.querystats.Record(querystats.Sample{
-		Doc: name, Query: query, Latency: time.Since(start),
-		Candidates: stats.Candidates, Frozen: frozenServe, Profile: profile,
-	})
-	resp := modeResponse(d.gen, len(rows), mode)
-	if explain {
-		resp.Explain = profile
-	}
-	return resp, nil
-}
-
-// queryProfile builds the planner-summary half of a query profile (the part
-// every cache miss records into query stats, explain or not). Called under
-// the document lock.
-func (d *document) queryProfile(s *Store, query string, stats rdb.ExecStats, frozenServe bool) *api.QueryExplain {
-	profile := &api.QueryExplain{
-		Shape:      s.querystats.ShapeOf(query),
-		Backend:    d.backendName(frozenServe),
-		Parallel:   stats.FanOuts > 0,
-		Shards:     stats.Shards,
-		Candidates: stats.Candidates,
-	}
-	if frozenServe {
-		profile.MaxLabelBits = d.frozen.MaxLabelBits()
+	count := len(r.rows)
+	if r.hit != nil {
+		count = r.hit.Count
 	} else {
-		profile.MaxLabelBits = d.lab.MaxLabelBits()
+		d.cache.put(countCacheKey(query), d.gen, &api.QueryResponse{Generation: d.gen, Count: count})
 	}
-	return profile
+	resp := modeResponse(d.gen, count, mode)
+	resp.Cached = r.hit != nil
+	resp.Explain = s.finishRead(ctx, &r)
+	return resp, nil
 }
 
 // QueryStream evaluates a query and delivers the result through emit: first
@@ -186,62 +99,17 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 		}
 	}
 	defer finishFirst()
-	if query == "" {
-		return fmt.Errorf("%w: empty xpath", ErrBadRequest)
-	}
-	d, err := s.get(name)
+	r, err := s.beginRead(ctx, name, query, explain, &s.metrics.queryStreamed, query)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	s.metrics.queries.Add(1)
-	s.metrics.queryStreamed.Add(1)
-	d.noteRead()
-	defer s.maybeFreeze(d)
-	endLock := trace.Start(ctx, trace.StageLockWait)
-	d.mu.RLock()
-	endLock()
+	d := r.d
 	defer d.mu.RUnlock()
-	endCache := trace.Start(ctx, trace.StageCacheLookup)
-	cached, hit := d.cache.get(query, d.gen)
-	endCache()
-	frozenServe := d.frozen != nil && d.frozenOrder
-
-	var rows rdb.RowSet
-	var stats rdb.ExecStats
-	var ex *rdb.Explain
-	if hit {
-		s.metrics.cacheHits.Add(1)
-	} else {
-		s.metrics.cacheMisses.Add(1)
-		table := d.table
-		if frozenServe {
-			table = d.frozenTable
-		}
-		if explain {
-			ex = &rdb.Explain{}
-		}
-		endEval := trace.Start(ctx, trace.StageXPathEval)
-		rows, stats, err = table.ExecPathStringExplain(query, ex)
-		endEval()
-		trace.Observe(ctx, trace.StageQueryFanout, stats.FanOutTime)
-		if stats.FanOuts > 0 {
-			s.metrics.queryFanOuts.Add(uint64(stats.FanOuts))
-			s.metrics.queryShards.Add(uint64(stats.Shards))
-		}
-		if err != nil {
-			s.querystats.Record(querystats.Sample{
-				Doc: name, Query: query, Latency: time.Since(start),
-				Frozen: frozenServe, Err: true,
-			})
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
+	count := len(r.rows)
+	if r.hit != nil {
+		count = r.hit.Count
 	}
-	count := len(rows)
-	if hit {
-		count = cached.Count
-	}
-	if err := emit(api.StreamHeader{Generation: d.gen, Count: count, Cached: hit}); err != nil {
+	if err := emit(api.StreamHeader{Generation: d.gen, Count: count, Cached: r.hit != nil}); err != nil {
 		return err
 	}
 	finishFirst()
@@ -253,19 +121,10 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 			end = count
 		}
 		var nodes []api.NodeRef
-		if hit {
-			nodes = cached.Nodes[base:end]
+		if r.hit != nil {
+			nodes = r.hit.Nodes[base:end]
 		} else {
-			nodes = make([]api.NodeRef, end-base)
-			for i, id := range rows[base:end] {
-				n := d.table.Node(id)
-				nodes[i] = api.NodeRef{
-					ID:    id,
-					Path:  xmltree.PathTo(n),
-					Label: labelString(d.lab, n),
-					Text:  n.Text(),
-				}
-			}
+			nodes = d.nodeRefs(r.rows[base:end])
 		}
 		if err := emit(api.StreamChunk{Nodes: nodes}); err != nil {
 			endWrite()
@@ -274,32 +133,8 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 	}
 	endWrite()
 
-	final := api.StreamChunk{Done: true}
-	sample := querystats.Sample{
-		Doc: name, Query: query, Latency: time.Since(start),
-		CacheHit: hit, Frozen: frozenServe,
+	if r.profile != nil {
+		r.profile.Streamed = true
 	}
-	if !hit {
-		profile := d.queryProfile(s, query, stats, frozenServe)
-		profile.Streamed = true
-		if explain {
-			profile.Steps = explainSteps(ex)
-			profile.Stages = explainStages(ctx)
-		}
-		sample.Candidates = stats.Candidates
-		sample.Profile = profile
-		if explain {
-			final.Explain = profile
-		}
-	} else if explain {
-		final.Explain = &api.QueryExplain{
-			Shape:    s.querystats.ShapeOf(query),
-			CacheHit: true,
-			Backend:  d.backendName(frozenServe),
-			Streamed: true,
-			Stages:   explainStages(ctx),
-		}
-	}
-	s.querystats.Record(sample)
-	return emit(final)
+	return emit(api.StreamChunk{Done: true, Explain: s.finishRead(ctx, &r)})
 }

@@ -37,11 +37,8 @@ const (
 	// StageMaterialize is a query cache miss turning result rows into node
 	// refs: path, label and text for every row.
 	StageMaterialize = "materialize"
-	// StageQueryFanout is the portion of XPath evaluation spent inside
-	// sharded (parallel) join scans — a subset of xpath_eval's wall time,
-	// recorded from the executor's fan-out stats.
-	StageQueryFanout = "query_fanout"
-	// StageLabelProbe is a label-only relation check (ancestor/parent/before).
+	// StageLabelProbe is a relation check (ancestor/parent/before), answered
+	// from the element table's structural columns.
 	StageLabelProbe = "label_probe"
 	// StageParse is XML parsing during a document load.
 	StageParse = "parse"
@@ -75,16 +72,6 @@ const (
 	// StageReplicaApply is the follower-side application of one replicated
 	// message (a journal record or a shipped snapshot) into the local store.
 	StageReplicaApply = "replica_apply"
-	// StageFreezeRelabel is a background re-label of a read-mostly document
-	// into the compact fixed-width scheme: build the compact labeling, build
-	// and warm its element table, install the overlay. Recorded via
-	// Metrics.ObserveStage (freezes run on background goroutines with no
-	// request of their own).
-	StageFreezeRelabel = "freeze_relabel"
-	// StageThaw is the write-path drop of a frozen document's compact
-	// overlay — the transparent fallback to the dynamic scheme that makes
-	// the next update safe.
-	StageThaw = "thaw"
 	// StageStreamFirstByte is a streamed query's time to first byte: from
 	// request entry to the header line leaving the handler — evaluation
 	// included, materialization excluded. The streaming endpoint's reason
@@ -98,12 +85,11 @@ const (
 // Stages lists every stage name, in rough request order. The server's
 // metric registry builds one histogram per entry at startup.
 var Stages = []string{
-	StageLockWait, StageCacheLookup, StageXPathEval, StageMaterialize, StageQueryFanout,
+	StageLockWait, StageCacheLookup, StageXPathEval, StageMaterialize,
 	StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
 	StageReindex, StageCodecEncode, StageSnapshotWrite, StageJournalAppend,
 	StageJournalGroupWait, StageJournalFsync, StageReplicaStream,
-	StageReplicaApply, StageFreezeRelabel, StageThaw,
-	StageStreamFirstByte, StageStreamWrite,
+	StageReplicaApply, StageStreamFirstByte, StageStreamWrite,
 }
 
 // Span is one timed stage within a trace.
@@ -247,9 +233,9 @@ func Start(ctx context.Context, stage string) func() {
 
 // Observe records an already-measured span on the trace carried by ctx (a
 // no-op when ctx has none, or when d <= 0). It exists for durations
-// measured by layers that do not know about tracing — the query
-// executor's fan-out time, for example — and are attributed to a stage
-// after the fact. The span's offset places its end at "now".
+// measured by layers that do not know about tracing — a replicated
+// record's apply time, for example — and are attributed to a stage after
+// the fact. The span's offset places its end at "now".
 func Observe(ctx context.Context, stage string, d time.Duration) {
 	t := FromContext(ctx)
 	if t == nil || d <= 0 {

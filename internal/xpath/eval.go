@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"primelabel/internal/labeling"
-	"primelabel/internal/parallel"
 	"primelabel/internal/xmltree"
 )
 
@@ -30,68 +29,6 @@ type Evaluator struct {
 	// instead of caching), making the evaluator safe for concurrent use
 	// until the next Reindex.
 	warmed bool
-	// par is the resolved worker count for sharded axis scans; <= 1 keeps
-	// evaluation sequential (the default). See SetParallelism.
-	par int
-	// minParCands is the smallest per-shard candidate count worth a
-	// goroutine; 0 means defaultMinParallelCands. Tests lower it to force
-	// fan-out on small documents.
-	minParCands int
-}
-
-// defaultMinParallelCands is the minimum number of candidates one shard
-// must cover before an axis scan fans out: below this, goroutine startup
-// costs more than the scan itself.
-const defaultMinParallelCands = 1024
-
-// SetParallelism sets the worker budget for sharded axis scans: values
-// <= 0 mean GOMAXPROCS, 1 (the default) keeps evaluation sequential.
-// Fan-out only happens on a warmed evaluator — an un-warmed one memoizes
-// ranks during reads and must stay single-goroutine. Results are
-// identical at any setting: shards are contiguous candidate ranges
-// concatenated in order.
-func (e *Evaluator) SetParallelism(workers int) { e.par = parallel.Workers(workers) }
-
-// grain returns the minimum candidates per shard.
-func (e *Evaluator) grain() int {
-	if e.minParCands > 0 {
-		return e.minParCands
-	}
-	return defaultMinParallelCands
-}
-
-// parallelOK reports whether a scan over n candidates should fan out.
-func (e *Evaluator) parallelOK(n int) bool {
-	return e.par > 1 && e.warmed && n >= 2*e.grain()
-}
-
-// shardScan runs keep over contiguous shards of cands on the worker pool
-// and concatenates the surviving nodes in candidate order, so a
-// document-ordered input yields a document-ordered output. keep must be
-// read-only (Warm guarantees that for the label and rank probes used
-// here).
-func (e *Evaluator) shardScan(cands []*xmltree.Node, keep func(*xmltree.Node) bool) []*xmltree.Node {
-	parts := parallel.MapShards(e.par, len(cands), e.grain(), func(lo, hi int) []*xmltree.Node {
-		var part []*xmltree.Node
-		for _, n := range cands[lo:hi] {
-			if keep(n) {
-				part = append(part, n)
-			}
-		}
-		return part
-	})
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]*xmltree.Node, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }
 
 // siblingsOf returns the candidates with the given tag under parent.
@@ -267,10 +204,6 @@ func (e *Evaluator) axisNodes(ctx *xmltree.Node, step Step) ([]*xmltree.Node, er
 		if ctx == nil {
 			return append(out, cands...), nil
 		}
-		if e.parallelOK(len(cands)) {
-			out = e.shardScan(cands, func(n *xmltree.Node) bool { return e.lab.IsAncestor(ctx, n) })
-			break
-		}
 		for _, n := range cands {
 			if e.lab.IsAncestor(ctx, n) {
 				out = append(out, n)
@@ -281,13 +214,6 @@ func (e *Evaluator) axisNodes(ctx *xmltree.Node, step Step) ([]*xmltree.Node, er
 			return nil, nil
 		}
 		if co, ok := e.rank(ctx); ok {
-			if e.parallelOK(len(cands)) {
-				out = e.shardScan(cands, func(n *xmltree.Node) bool {
-					no, _ := e.rank(n)
-					return no > co && !e.lab.IsAncestor(ctx, n)
-				})
-				break
-			}
 			for _, n := range cands {
 				no, _ := e.rank(n)
 				if no > co && !e.lab.IsAncestor(ctx, n) {
@@ -310,13 +236,6 @@ func (e *Evaluator) axisNodes(ctx *xmltree.Node, step Step) ([]*xmltree.Node, er
 			return nil, nil
 		}
 		if co, ok := e.rank(ctx); ok {
-			if e.parallelOK(len(cands)) {
-				out = e.shardScan(cands, func(n *xmltree.Node) bool {
-					no, _ := e.rank(n)
-					return no < co && !e.lab.IsAncestor(n, ctx)
-				})
-				break
-			}
 			for _, n := range cands {
 				no, _ := e.rank(n)
 				if no < co && !e.lab.IsAncestor(n, ctx) {

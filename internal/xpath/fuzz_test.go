@@ -43,12 +43,12 @@ func FuzzParseQuery(f *testing.F) {
 }
 
 // fuzzFixture lazily builds one shared labeled document with a warmed
-// parallel evaluator for FuzzEvalParallelParity: fuzz iterations only
-// read it, so one instance serves every worker.
+// evaluator for FuzzEvalTreeParity: fuzz iterations only read it, so one
+// instance serves every worker.
 var fuzzFixture struct {
 	once sync.Once
 	doc  *xmltree.Document
-	par  *Evaluator
+	ev   *Evaluator
 }
 
 func fuzzFixtureInit() {
@@ -82,17 +82,14 @@ func fuzzFixtureInit() {
 	if err != nil {
 		panic(err)
 	}
-	fuzzFixture.par = New(lab)
-	fuzzFixture.par.Warm()
-	fuzzFixture.par.SetParallelism(4)
-	fuzzFixture.par.minParCands = 1
+	fuzzFixture.ev = New(lab)
+	fuzzFixture.ev.Warm()
 }
 
-// FuzzEvalParallelParity feeds arbitrary query strings to a warmed
-// evaluator with forced fan-out and to the sequential tree-walking
-// reference: both must accept the same queries and return identical node
-// sequences.
-func FuzzEvalParallelParity(f *testing.F) {
+// FuzzEvalTreeParity feeds arbitrary query strings to a warmed label-driven
+// evaluator and to the tree-walking reference: both must accept the same
+// queries and return identical node sequences.
+func FuzzEvalTreeParity(f *testing.F) {
 	seeds := []string{
 		"/play//line", "//act//scene", "//scene[2]//following::line",
 		"//line//preceding::speaker", "//speech//following-sibling::speech",
@@ -110,15 +107,15 @@ func FuzzEvalParallelParity(f *testing.F) {
 		}
 		fuzzFixture.once.Do(fuzzFixtureInit)
 		want, wantErr := TreeEval(fuzzFixture.doc, q)
-		got, gotErr := fuzzFixture.par.Eval(q)
+		got, gotErr := fuzzFixture.ev.Eval(q)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%q: reference err %v, parallel err %v", src, wantErr, gotErr)
+			t.Fatalf("%q: reference err %v, evaluator err %v", src, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			return
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%q: parallel returned %d nodes, reference %d", src, len(got), len(want))
+			t.Fatalf("%q: evaluator returned %d nodes, reference %d", src, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {

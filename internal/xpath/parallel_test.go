@@ -3,20 +3,12 @@ package xpath
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"primelabel/internal/labeling/prime"
 	"primelabel/internal/xmltree"
 )
-
-// forceParallel warms an evaluator and drops the fan-out threshold to a
-// single candidate, so every axis scan with >= 2 candidates shards even
-// on the small test fixtures.
-func forceParallel(e *Evaluator) {
-	e.Warm()
-	e.SetParallelism(4)
-	e.minParCands = 1
-}
 
 // axisQueries exercises every supported axis at least once, including
 // positional and attribute filters over multi-step paths.
@@ -36,9 +28,42 @@ var axisQueries = []string{
 	"/play//bogus",                      // empty result
 }
 
-// TestParallelParityAllAxes checks that a warmed evaluator with forced
-// fan-out returns node-for-node identical results to the sequential
-// reference TreeEval — for every axis and every labeling scheme.
+// parallelReaders is how many goroutines query one warmed evaluator at
+// once in the tests below.
+const parallelReaders = 4
+
+// evalConcurrently runs every query on ev from parallelReaders goroutines
+// at once and returns, per query, each reader's result rendered with
+// fmt.Sprint (or the error text).
+func evalConcurrently(ev *Evaluator, queries []string) [][]string {
+	got := make([][]string, len(queries))
+	for i := range got {
+		got[i] = make([]string, parallelReaders)
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < parallelReaders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i, q := range queries {
+				ns, err := ev.EvalString(q)
+				if err != nil {
+					got[i][r] = "error: " + err.Error()
+					continue
+				}
+				got[i][r] = fmt.Sprint(ns)
+			}
+		}(r)
+	}
+	wg.Wait()
+	return got
+}
+
+// TestParallelParityAllAxes checks that a warmed evaluator queried from
+// several goroutines at once returns node-for-node the sequential
+// reference TreeEval's answer — for every axis and every labeling scheme.
+// Under -race it also checks Warm's promise that evaluation then performs
+// no internal writes.
 func TestParallelParityAllAxes(t *testing.T) {
 	for name, s := range schemes() {
 		doc := fixture(t)
@@ -47,33 +72,25 @@ func TestParallelParityAllAxes(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := New(lab)
-		forceParallel(ev)
-		for _, q := range axisQueries {
+		ev.Warm()
+		got := evalConcurrently(ev, axisQueries)
+		for i, q := range axisQueries {
 			want, err := TreeEvalString(doc, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ev.EvalString(q)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, q, err)
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s %s: %d nodes, want %d", name, q, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s %s: result %d differs from sequential reference", name, q, i)
-					break
+			for r, g := range got[i] {
+				if g != fmt.Sprint(want) {
+					t.Errorf("%s %s: reader %d got %s, want %d reference nodes", name, q, r, g, len(want))
 				}
 			}
 		}
 	}
 }
 
-// TestParallelParityRandomDocs repeats the parity check on random trees
-// large enough for multiple shards per scan, against both the tree
-// reference and a sequential evaluator over the same labeling.
+// TestParallelParityRandomDocs repeats the concurrent-reader check on
+// random trees, against both the tree reference and an unwarmed evaluator
+// over the same labeling.
 func TestParallelParityRandomDocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	tags := []string{"a", "b", "c"}
@@ -96,26 +113,27 @@ func TestParallelParityRandomDocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := New(lab)
-		seq.Warm()
-		par := New(lab)
-		forceParallel(par)
-		for _, q := range queries {
+		cold := New(lab)
+		warm := New(lab)
+		warm.Warm()
+		got := evalConcurrently(warm, queries)
+		for i, q := range queries {
 			ref, err := TreeEvalString(doc, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sGot, err := seq.EvalString(q)
+			seq, err := cold.EvalString(q)
 			if err != nil {
-				t.Fatalf("seq %s: %v", q, err)
+				t.Fatalf("cold %s: %v", q, err)
 			}
-			pGot, err := par.EvalString(q)
-			if err != nil {
-				t.Fatalf("par %s: %v", q, err)
+			if fmt.Sprint(seq) != fmt.Sprint(ref) {
+				t.Fatalf("trial %d %s: unwarmed evaluator disagrees with reference (%d/%d nodes)",
+					trial, q, len(seq), len(ref))
 			}
-			if fmt.Sprint(sGot) != fmt.Sprint(ref) || fmt.Sprint(pGot) != fmt.Sprint(sGot) {
-				t.Fatalf("trial %d %s: parallel/sequential/reference disagree (%d/%d/%d nodes)",
-					trial, q, len(pGot), len(sGot), len(ref))
+			for r, g := range got[i] {
+				if g != fmt.Sprint(ref) {
+					t.Fatalf("trial %d %s: reader %d disagrees with reference", trial, q, r)
+				}
 			}
 		}
 	}
