@@ -17,11 +17,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint enforces the godoc contract on the server packages (every exported
-# identifier must document its concurrency/durability behavior) and checks
-# that docs/LABELING.md has a section for every registered labeling scheme.
+# lint enforces the godoc contract on the server packages and the element
+# table and SC-order packages beneath them (every exported identifier must
+# document its concurrency/durability behavior) and checks that
+# docs/LABELING.md has a section for every registered labeling scheme.
 lint:
-	$(GO) run ./cmd/doccheck -schemes-doc docs/LABELING.md ./internal/server ./internal/server/api ./internal/server/client ./internal/server/persist ./internal/server/replica ./internal/server/trace ./internal/hist ./internal/buildinfo ./internal/labeling/compact ./internal/server/querystats ./internal/server/cluster
+	$(GO) run ./cmd/doccheck -schemes-doc docs/LABELING.md ./internal/server ./internal/server/api ./internal/server/client ./internal/server/persist ./internal/server/replica ./internal/server/trace ./internal/hist ./internal/buildinfo ./internal/labeling/compact ./internal/server/querystats ./internal/server/cluster ./internal/rdb ./internal/order
 
 test:
 	$(GO) test ./...

@@ -449,7 +449,7 @@ func BenchmarkAblationJoin(b *testing.B) {
 	})
 }
 
-// --- Ablation: query planner (full-query nested-loop vs stack-tree) ---
+// --- Ablation: query planner (full-query nested-loop vs extent) ---
 
 func BenchmarkAblationPlanner(b *testing.B) {
 	doc := datasets.Replicate(datasets.D8(), 2)
@@ -459,8 +459,8 @@ func BenchmarkAblationPlanner(b *testing.B) {
 	}
 	const q = "//play//line"
 	nl := rdb.Build(lab)
-	st := rdb.Build(lab)
-	st.Plan = rdb.StackTree
+	ext := rdb.Build(lab)
+	ext.Plan = rdb.Extent
 	b.Run("nested-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := nl.ExecPathString(q); err != nil {
@@ -468,9 +468,9 @@ func BenchmarkAblationPlanner(b *testing.B) {
 			}
 		}
 	})
-	b.Run("stack-tree", func(b *testing.B) {
+	b.Run("extent", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.ExecPathString(q); err != nil {
+			if _, err := ext.ExecPathString(q); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -156,10 +156,6 @@ func printProfile(stdout io.Writer, q string, ex *api.QueryExplain) {
 		fmt.Fprintf(stdout, "    step %s::%s plan %s candidates %d pairs %d emitted %d\n",
 			st.Axis, st.Name, st.JoinPlan, st.Candidates, st.Pairs, st.Emitted)
 	}
-	if fp := ex.Fastpath; fp != nil {
-		fmt.Fprintf(stdout, "    fastpath: prefilter_rejects %d exact_u64 %d exact_big %d\n",
-			fp.PrefilterRejects, fp.ExactU64, fp.ExactBig)
-	}
 	for _, sg := range ex.Stages {
 		fmt.Fprintf(stdout, "    stage %s %.3fms\n", sg.Stage, sg.DurationMS)
 	}

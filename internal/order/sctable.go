@@ -134,9 +134,9 @@ func (t *Table) RecordCount() int { return len(t.records) }
 func (t *Table) MaxOrder() int { return t.nextOrd - 1 }
 
 // LastShift reports the order-number shift performed by the most recent
-// successful Append, Insert, or InsertBetween. Callers that mirror order
-// numbers elsewhere (the server's rdb rank memo) use it to patch their copy
-// instead of recomputing every order: because order numbers are strictly
+// successful Append, Insert, or InsertBetween. A caller that mirrors order
+// numbers elsewhere can use it to patch its copy instead of recomputing
+// every order: because order numbers are strictly
 // increasing in document order, "order >= From" identifies exactly the nodes
 // at or after the insertion point. The value is only meaningful immediately
 // after a successful insertion; failed operations leave it unspecified.

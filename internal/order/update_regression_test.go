@@ -2,7 +2,7 @@ package order
 
 // Regression tests for the update-path fixes: Delete dropping emptied
 // records instead of keeping degenerate CRT rows, the hybrid Compact sort,
-// and the LastShift bookkeeping the server's incremental reindex relies on.
+// and the LastShift bookkeeping.
 
 import (
 	"math/rand"

@@ -44,8 +44,6 @@ const (
 	// columns: a context's siblings are the rows of its parent's run at its
 	// own depth.
 	planExtentSibling = "extent-sibling"
-	// planStackMerge is the label-predicate stack merge (StackTree).
-	planStackMerge = "stack-merge"
 	// planOrderScan is the pairwise order-predicate join.
 	planOrderScan = "order-scan"
 	// planSiblingIndex is the parent-grouped sibling join.

@@ -104,7 +104,6 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 	nl := Build(lab)
 	ext := Build(lab)
 	ext.Plan = Extent
-	ext.Warm()
 	for _, q := range axisQueries {
 		want, err := nl.ExecPathString(q)
 		if err != nil {
@@ -173,7 +172,6 @@ func TestDescendantCoverMatchesProjection(t *testing.T) {
 	}
 	tab := Build(lab)
 	tab.Plan = Extent
-	tab.Warm()
 	ctx := append(RowSet{}, tab.Scan("act")...)
 	ctx = append(ctx, tab.Scan("scene")...)
 	sort.Ints(ctx)
@@ -191,7 +189,7 @@ func TestDescendantCoverMatchesProjection(t *testing.T) {
 	}
 }
 
-// d8Table builds a warmed Extent table over k replicas of the paper's query
+// d8Table builds an Extent table over k replicas of the paper's query
 // corpus D8.
 func d8Table(t testing.TB, k int) *Table {
 	t.Helper()
@@ -201,7 +199,6 @@ func d8Table(t testing.TB, k int) *Table {
 	}
 	tab := Build(lab)
 	tab.Plan = Extent
-	tab.Warm()
 	return tab
 }
 
@@ -264,7 +261,7 @@ func TestExtentSiblingsMatchLabelJoin(t *testing.T) {
 }
 
 // TestExtentQueryAllocsIndependentOfSize is the allocation guard on the
-// cache-miss path: on a warmed Extent table the executor reads the tag
+// cache-miss path: on an Extent table the executor reads the tag
 // index in place and the semi-joins emit one slice, so the number of
 // allocations a query makes must not grow with the document.
 func TestExtentQueryAllocsIndependentOfSize(t *testing.T) {
@@ -304,10 +301,10 @@ func TestExecPathNeverReturnsTheIndex(t *testing.T) {
 	}
 }
 
-// TestExtentOrderAxesNeedWarm pins the rangeJoin gate: an unwarmed table
-// (ordered unknown) and a labeling without order tracking must both take
-// the order-scan path, so order-axis errors surface exactly as before.
-func TestExtentOrderAxesNeedWarm(t *testing.T) {
+// TestExtentOrderAxesFailWithoutOrder pins the rangeJoin gate: a table over
+// a labeling without order tracking is not ordered and must take the
+// order-scan path, so order-axis errors surface exactly as the labeling's.
+func TestExtentOrderAxesFailWithoutOrder(t *testing.T) {
 	doc := datasets.Play(5, 2, 60)
 	lab, err := (prime.Scheme{}).Label(doc) // no TrackOrder
 	if err != nil {
@@ -316,7 +313,6 @@ func TestExtentOrderAxesNeedWarm(t *testing.T) {
 	nl := Build(lab)
 	ext := Build(lab)
 	ext.Plan = Extent
-	ext.Warm() // warms, but no row gets a rank: ordered stays false
 	_, wantErr := nl.ExecPathString("//speech/following::line")
 	_, gotErr := ext.ExecPathString("//speech/following::line")
 	if (wantErr == nil) != (gotErr == nil) {
@@ -329,7 +325,7 @@ func TestExtentOrderAxesNeedWarm(t *testing.T) {
 
 // TestPatchStormExtents drives a randomized insert/wrap/delete storm
 // through the incremental patch path, holding the patched table to a fresh
-// Build+Warm via Diff after every op (which compares the depth and extent
+// Build via Diff after every op (which compares the depth and extent
 // columns row by row) and to the divisibility oracle on every axis at
 // regular intervals.
 func TestPatchStormExtents(t *testing.T) {
@@ -349,7 +345,6 @@ func TestPatchStormExtents(t *testing.T) {
 	}
 	tab := Build(lab)
 	tab.Plan = Extent
-	tab.Warm()
 
 	rng := rand.New(rand.NewSource(7))
 	tags := []string{"a", "b", "c", "d"}
@@ -408,7 +403,6 @@ func TestPatchStormExtents(t *testing.T) {
 		}
 
 		ref := Build(lab)
-		ref.Warm()
 		if err := tab.Diff(ref); err != nil {
 			t.Fatalf("op %d: patched table diverged from rebuild: %v", op, err)
 		}

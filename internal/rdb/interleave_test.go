@@ -10,12 +10,11 @@ import (
 	"primelabel/internal/xmltree"
 )
 
-// TestQueryUpdateInterleaving drives the Table + StackTree planner through
+// TestQueryUpdateInterleaving drives the Table + Extent planner through
 // repeated query -> InsertChildAt -> rebuild cycles, checking after every
 // mutation that both planners agree with ground truth derived from the
-// tree. It pins the rank-memoization contract: a table built (and Warmed)
-// after an insert must see the post-relabel document order, never a stale
-// memo — order-sensitive axes like following-sibling would silently return
+// tree. A table built after an insert must see the post-relabel document
+// order — order-sensitive axes like following-sibling would silently return
 // wrong rows otherwise.
 func TestQueryUpdateInterleaving(t *testing.T) {
 	var b strings.Builder
@@ -62,8 +61,7 @@ func TestQueryUpdateInterleaving(t *testing.T) {
 
 	for cycle := 0; cycle < 12; cycle++ {
 		st := Build(lab)
-		st.Plan = StackTree
-		st.Warm()
+		st.Plan = Extent
 		nl := Build(lab) // NestedLoop is the default plan
 
 		checks := []struct {
@@ -76,8 +74,7 @@ func TestQueryUpdateInterleaving(t *testing.T) {
 			{"//book/following-sibling::book", followers()},
 			{"//shelf//title", titles},
 		}
-		// Query the same warmed table repeatedly — the server's pattern —
-		// so memoized ranks are exercised, not just filled.
+		// Query the same table repeatedly — the server's pattern.
 		for pass := 0; pass < 2; pass++ {
 			for _, c := range checks {
 				got, err := st.ExecPathString(c.query)
@@ -85,7 +82,7 @@ func TestQueryUpdateInterleaving(t *testing.T) {
 					t.Fatalf("cycle %d %s: %v", cycle, c.query, err)
 				}
 				if len(got) != c.want {
-					t.Fatalf("cycle %d pass %d %s: stack-tree returned %d rows, want %d",
+					t.Fatalf("cycle %d pass %d %s: extent returned %d rows, want %d",
 						cycle, pass, c.query, len(got), c.want)
 				}
 				ref, err := nl.ExecPathString(c.query)
@@ -104,7 +101,7 @@ func TestQueryUpdateInterleaving(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !before {
-						t.Fatalf("cycle %d %s: rows %d,%d out of document order (stale ranks?)",
+						t.Fatalf("cycle %d %s: rows %d,%d out of document order",
 							cycle, c.query, got[i-1], got[i])
 					}
 				}
@@ -125,11 +122,11 @@ func TestQueryUpdateInterleaving(t *testing.T) {
 	}
 }
 
-// TestRebuildDoesNotShareRankMemo pins that two Tables over the same
-// labeling never share memoized state: warming one, mutating, then building
-// a fresh table must reflect the new order even though the old table's memo
-// still holds ranks for the same node pointers.
-func TestRebuildDoesNotShareRankMemo(t *testing.T) {
+// TestRebuildSeesInsertedOrder pins that a table built after an insert
+// places the new node where the labeling's document order puts it, under
+// both planners: the extent sibling join and the nested loop's row-order
+// comparisons.
+func TestRebuildSeesInsertedOrder(t *testing.T) {
 	doc, err := xmlparse.ParseString("<r><s><a/><b/><c/></s></r>")
 	if err != nil {
 		t.Fatal(err)
@@ -138,30 +135,27 @@ func TestRebuildDoesNotShareRankMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := Build(lab)
-	old.Plan = StackTree
-	old.Warm() // memoize every rank at generation 0
-
 	s := doc.Root.Children[0]
 	if _, err := lab.InsertChildAt(s, 1, xmltree.NewElement("x")); err != nil {
 		t.Fatal(err)
 	}
 
-	fresh := Build(lab)
-	fresh.Plan = StackTree
-	fresh.Warm()
-	rows, err := fresh.ExecPathString("//a/following-sibling::x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || fresh.Node(rows[0]).Name != "x" {
-		t.Fatalf("fresh table missed the inserted sibling: %v", rows)
-	}
-	rows, err = fresh.ExecPathString("//x/following-sibling::b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("post-insert order not visible in fresh table: %v", rows)
+	for _, plan := range []Planner{NestedLoop, Extent} {
+		fresh := Build(lab)
+		fresh.Plan = plan
+		rows, err := fresh.ExecPathString("//a/following-sibling::x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || fresh.Node(rows[0]).Name != "x" {
+			t.Fatalf("plan %d: fresh table missed the inserted sibling: %v", plan, rows)
+		}
+		rows, err = fresh.ExecPathString("//x/following-sibling::b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("plan %d: post-insert order not visible in fresh table: %v", plan, rows)
+		}
 	}
 }

@@ -17,8 +17,8 @@ func TestPlannersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := Build(lab)
-	st := Build(lab)
-	st.Plan = StackTree
+	ext := Build(lab)
+	ext.Plan = Extent
 	queries := []string{
 		"/play//line",
 		"//act//speech",
@@ -31,12 +31,12 @@ func TestPlannersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := st.ExecPathString(q)
+		b, err := ext.ExecPathString(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(a) != len(b) {
-			t.Fatalf("%s: nested-loop %d rows, stack-tree %d", q, len(a), len(b))
+			t.Fatalf("%s: nested-loop %d rows, extent %d", q, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {

@@ -21,33 +21,34 @@ import (
 	"primelabel/internal/xmltree"
 )
 
-// Planner selects the structural-join algorithm ExecPath uses for
-// descendant steps.
+// Planner selects the structural-join algorithm ExecPath uses.
 type Planner int
 
 const (
-	// NestedLoop tests every (context, candidate) pair — the baseline whose
-	// cost is proportional to predicate evaluations (the Figure 15 setup).
+	// NestedLoop tests every (context, candidate) pair with the labeling's
+	// predicates — the baseline whose cost is proportional to predicate
+	// evaluations (the Figure 15 setup), and the oracle the Extent planner
+	// is held to.
 	NestedLoop Planner = iota
-	// StackTree merges both document-ordered inputs with an ancestor stack:
-	// linear in input plus output instead of the product.
-	StackTree
 	// Extent drives every structural axis from the table's document-order
 	// columns instead of label probes: ancestor/parent tests are O(1)
 	// row-range containments against the subtree-extent column, child and
 	// descendant steps are index probes or single-pass merges, and
 	// following/preceding are binary-search range scans. Only an unordered
-	// table (ranks unavailable) falls back to the label-driven order and
-	// sibling joins; the choice is recorded in StepProfile.JoinPlan. Results
-	// are byte-identical to the label-driven planners — the labels stay the
-	// verified ground truth in parity tests.
+	// table (see Ordered) falls back to the label-driven order and sibling
+	// joins; the choice is recorded in StepProfile.JoinPlan. Results are
+	// byte-identical to NestedLoop's — the labels stay the verified ground
+	// truth in parity tests.
 	Extent
 )
 
 // Table is the element relation: one row per element in document order.
+// Reads (Scan, the ExecPath family, the accessors) never write to the
+// table, so it is safe for any number of concurrent readers as soon as
+// Build returns, as long as the labeling is quiescent; PatchInsert and
+// PatchDelete need the caller's exclusive access.
 type Table struct {
-	// Plan selects the join algorithm for descendant steps (default
-	// NestedLoop).
+	// Plan selects the join algorithm (default NestedLoop).
 	Plan Planner
 
 	// Parallelism is ignored: every join runs sequentially. The field
@@ -67,82 +68,48 @@ type Table struct {
 	// PatchInsert and PatchDelete, and validated against rebuilds by Diff.
 	depth  []int
 	extent []int
-	// ranks memoizes labeling.Orderer lookups (Section 4.3: order numbers
-	// are generated once per candidate list, then compared as integers).
-	ranks map[*xmltree.Node]int
-	// warmed marks that Warm pre-filled ranks for every row; from then on
-	// query execution performs no internal writes, so the table is safe for
-	// concurrent readers until the next structural update (which requires a
-	// rebuild anyway — see Build).
-	warmed bool
-	// ordered marks that every row received a rank during Warm: document
-	// order is fully decidable from the memo, so the Extent planner may
-	// serve following/preceding from row positions. When false those axes
-	// fall back to the order join, which fails (or succeeds) exactly as the
-	// labeling's own Before would.
+	// ordered records that Build found the labeling's order numbers
+	// (labeling.Orderer) for every row, rising strictly with row id: row
+	// order is then the labeling's document order (Section 4.3's order
+	// numbers, generated once per Build and compared as integers), so row
+	// a precedes row b iff a < b. When false, order questions go to the
+	// labeling's Before, which fails (or succeeds) exactly as the scheme
+	// does. Patches keep it: an insert or delete never reorders surviving
+	// nodes, and a labeling whose order numbers follow document order
+	// numbers a new node in place.
 	ordered bool
 }
 
-// rank returns a document-order rank from the labeling when available.
-func (t *Table) rank(n *xmltree.Node) (int, bool) {
-	if v, ok := t.ranks[n]; ok {
-		return v, true
-	}
-	or, ok := t.lab.(labeling.Orderer)
-	if !ok {
-		return 0, false
-	}
-	v, err := or.OrderOf(n)
-	if err != nil {
-		return 0, false
-	}
-	if !t.warmed {
-		if t.ranks == nil {
-			t.ranks = make(map[*xmltree.Node]int)
-		}
-		t.ranks[n] = v
-	}
-	return v, true
-}
+// Warm does nothing: a table is ready for concurrent readers as soon as
+// Build returns. It remains so that callers which still call it keep
+// compiling.
+func (t *Table) Warm() {}
 
-// Warm pre-materializes the rank memo for every row and freezes it, so
-// subsequent queries (ExecPath, the join operators) perform no internal
-// writes. A warmed table is safe for any number of concurrent reader
-// goroutines as long as the labeling is quiescent; the label server warms
-// each table right after Build and keeps it consistent across structural
-// updates either by rebuilding (and re-warming) or by patching in place
-// (PatchInsert, PatchDelete — which maintain the memo incrementally).
-// Existing memo entries are kept, not recomputed: they are accurate by
-// construction, filled from the labeling and adjusted by every patch.
-func (t *Table) Warm() {
-	if t.ranks == nil {
-		t.ranks = make(map[*xmltree.Node]int, len(t.nodes))
-	}
-	ordered := true
-	for _, n := range t.nodes {
-		if _, ok := t.rank(n); !ok {
-			ordered = false
-		}
-	}
-	t.warmed = true
-	t.ordered = ordered
-}
-
-// Build materializes the element table for a labeled document. Rebuild the
-// table after structural updates.
+// Build materializes the element table for a labeled document and checks,
+// in the same walk, whether row order is the labeling's document order
+// (see Ordered). Rebuild the table after structural updates the caller does
+// not patch in.
 func Build(lab labeling.Labeling) *Table {
 	t := &Table{
 		lab:   lab,
 		rowOf: make(map[*xmltree.Node]int),
 		byTag: make(map[string][]int),
 	}
+	or, ordered := lab.(labeling.Orderer)
+	prev := 0
 	xmltree.WalkElements(lab.Doc().Root, func(n *xmltree.Node) bool {
 		id := len(t.nodes)
 		t.nodes = append(t.nodes, n)
 		t.rowOf[n] = id
 		t.byTag[n.Name] = append(t.byTag[n.Name], id)
+		if ordered {
+			v, err := or.OrderOf(n)
+			ordered = err == nil && (id == 0 || v > prev)
+			prev = v
+		}
 		return true
 	})
+	t.ordered = ordered
 	t.initStructure()
 	return t
 }
@@ -224,15 +191,11 @@ func (t *Table) InsertPos(n *xmltree.Node) (int, bool) {
 }
 
 // PatchInsert splices one freshly inserted element into the table at row
-// pos instead of rebuilding: rows at and after pos shift up by one, the tag
-// index is patched in place (tag lists are ascending, so only the suffix of
-// ids >= pos moves), and the rank memo is maintained incrementally — rank
-// becomes the new node's memoized document-order rank, and every later row
-// with a memoized rank moves up by shiftDelta, the order-number shift the
-// insertion performed on following nodes (order.Table.LastShift). Order
-// numbers are strictly increasing in document order, so the shifted nodes
-// are exactly the rows after pos. Callers hold the document's write lock; a
-// warmed table stays warmed and complete.
+// pos instead of rebuilding: rows at and after pos shift up by one, and the
+// tag index is patched in place (tag lists are ascending, so only the suffix
+// of ids >= pos moves). rank and shiftDelta are ignored; they remain so that
+// callers which still pass them keep compiling. Callers hold the document's
+// write lock.
 func (t *Table) PatchInsert(pos int, n *xmltree.Node, rank, shiftDelta int) {
 	if pos < 0 || pos > len(t.nodes) {
 		panic(fmt.Sprintf("rdb: PatchInsert pos %d out of range [0,%d]", pos, len(t.nodes)))
@@ -257,17 +220,6 @@ func (t *Table) PatchInsert(pos int, n *xmltree.Node, rank, shiftDelta int) {
 	copy(ids[at+1:], ids[at:])
 	ids[at] = pos
 	t.byTag[n.Name] = ids
-	if shiftDelta != 0 {
-		for _, m := range t.nodes[pos+1:] {
-			if r, ok := t.ranks[m]; ok {
-				t.ranks[m] = r + shiftDelta
-			}
-		}
-	}
-	if t.ranks == nil {
-		t.ranks = make(map[*xmltree.Node]int)
-	}
-	t.ranks[n] = rank
 }
 
 // patchInsertStructure splices the depth and extent columns for a node
@@ -321,10 +273,8 @@ func (t *Table) patchInsertStructure(pos int, n *xmltree.Node) {
 // PatchDelete removes the contiguous row range [pos, pos+len(removed))
 // instead of rebuilding — a deleted subtree occupies exactly a contiguous
 // preorder run, with removed holding its elements in that order. Later rows
-// shift down, the tag index drops the removed ids and renumbers its
-// suffixes, and the removed nodes leave the rank memo; surviving ranks are
-// untouched because deletion never changes another node's order number.
-// Callers hold the document's write lock; a warmed table stays warmed.
+// shift down, and the tag index drops the removed ids and renumbers its
+// suffixes. Callers hold the document's write lock.
 func (t *Table) PatchDelete(pos int, removed []*xmltree.Node) {
 	k := len(removed)
 	if k == 0 {
@@ -335,7 +285,6 @@ func (t *Table) PatchDelete(pos int, removed []*xmltree.Node) {
 	}
 	for _, n := range removed {
 		delete(t.rowOf, n)
-		delete(t.ranks, n)
 	}
 	t.nodes = append(t.nodes[:pos], t.nodes[pos+k:]...)
 	for i := pos; i < len(t.nodes); i++ {
@@ -373,9 +322,9 @@ func (t *Table) PatchDelete(pos int, removed []*xmltree.Node) {
 
 // Diff compares t against a reference table over the same labeling and
 // returns the first discrepancy (nil when equivalent): row order, reverse
-// row lookup, the tag index, and — when both tables are warmed — the rank
-// memo. It exists to verify that the incremental patch path (PatchInsert,
-// PatchDelete) is indistinguishable from a fresh Build+Warm.
+// row lookup, the structural columns, the tag index and the ordered fact.
+// It exists to verify that the incremental patch path (PatchInsert,
+// PatchDelete) is indistinguishable from a fresh Build.
 func (t *Table) Diff(ref *Table) error {
 	if len(t.nodes) != len(ref.nodes) {
 		return fmt.Errorf("rdb diff: %d rows, reference has %d", len(t.nodes), len(ref.nodes))
@@ -419,15 +368,8 @@ func (t *Table) Diff(ref *Table) error {
 			}
 		}
 	}
-	if t.warmed && ref.warmed {
-		for _, n := range t.nodes {
-			tr, tok := t.ranks[n]
-			rr, rok := ref.ranks[n]
-			if tok != rok || tr != rr {
-				return fmt.Errorf("rdb diff: rank of row %d = %d (present %v), reference %d (present %v)",
-					t.rowOf[n], tr, tok, rr, rok)
-			}
-		}
+	if t.ordered != ref.ordered {
+		return fmt.Errorf("rdb diff: ordered = %v, reference %v", t.ordered, ref.ordered)
 	}
 	return nil
 }
@@ -435,10 +377,11 @@ func (t *Table) Diff(ref *Table) error {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.nodes) }
 
-// Ordered reports that Warm found a document-order rank for every row, so
-// row order is the labeling's document order: row a precedes row b iff
-// a < b. False on an unwarmed table and for labelings without order
-// support, whose Before must be asked instead.
+// Ordered reports that row order is the labeling's document order: Build
+// found an order number for every row, rising strictly with row id, so row
+// a precedes row b iff a < b. False for labelings without order numbers
+// (no labeling.Orderer, or one that cannot number every row), whose Before
+// must be asked instead.
 func (t *Table) Ordered() bool { return t.ordered }
 
 // Node returns the node stored at a row id.
@@ -545,19 +488,24 @@ func (t *Table) NLJoin(outer, inner RowSet, pred JoinPred) Pairs {
 	return out
 }
 
-// orderJoin is the nested-loop join for the order axes
-// (following/preceding). The predicate may fail (a labeling without order
-// support); the first error is returned.
-func (t *Table) orderJoin(ctx, cands RowSet, pred func(c, n *xmltree.Node) (bool, error)) (Pairs, error) {
+// orderJoin is the nested-loop join for the order axes: candidate i
+// follows context c when c precedes i and is not its ancestor, and precedes
+// it when i precedes c and is not its ancestor. Order comes from rows (see
+// before), ancestry from the labeling. The order test may fail (a labeling
+// without order support); the first error is returned.
+func (t *Table) orderJoin(ctx, cands RowSet, following bool) (Pairs, error) {
 	var out Pairs
 	for _, c := range ctx {
-		cn := t.nodes[c]
 		for _, i := range cands {
-			ok, err := pred(cn, t.nodes[i])
+			a, b := i, c
+			if following {
+				a, b = c, i
+			}
+			ok, err := t.before(a, b)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if ok && !t.lab.IsAncestor(t.nodes[a], t.nodes[b]) {
 				out = append(out, Pair{Out: c, In: i})
 			}
 		}
@@ -720,53 +668,33 @@ func (t *Table) semiJoin(ctx, cands RowSet, step xpath.Step) (rows RowSet, plan 
 // joinStep evaluates one non-initial step as a join between the context
 // rows and the candidate rows, returning the chosen plan's name alongside
 // the pairs. Under the Extent planner the choice is per-step and
-// cost-based (see extentJoinPlan); every planner produces byte-identical
+// cost-based (see extentJoinPlan); both planners produce byte-identical
 // pairs on every axis.
 func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step) (Pairs, string, error) {
+	extent := t.Plan == Extent
 	switch step.Axis {
 	case xpath.AxisChild:
-		if t.Plan == Extent {
+		if extent {
 			ps, plan := t.extentJoin(ctx, cands, true)
 			return ps, plan, nil
 		}
 		return t.NLJoin(ctx, cands, t.ParentPred()), planNestedLoop, nil
 	case xpath.AxisDescendant:
-		switch t.Plan {
-		case Extent:
+		if extent {
 			ps, plan := t.extentJoin(ctx, cands, false)
 			return ps, plan, nil
-		case StackTree:
-			return t.StackJoin(ctx, cands), planStackMerge, nil
-		default:
-			return t.NLJoin(ctx, cands, t.AncestorPred()), planNestedLoop, nil
 		}
-	case xpath.AxisFollowing:
-		if t.Plan == Extent && t.ordered {
-			return t.rangeJoin(ctx, cands, true), planExtentRange, nil
+		return t.NLJoin(ctx, cands, t.AncestorPred()), planNestedLoop, nil
+	case xpath.AxisFollowing, xpath.AxisPreceding:
+		following := step.Axis == xpath.AxisFollowing
+		if extent && t.ordered {
+			return t.rangeJoin(ctx, cands, following), planExtentRange, nil
 		}
-		ps, err := t.orderJoin(ctx, cands, func(c, n *xmltree.Node) (bool, error) {
-			after, err := t.before(c, n)
-			if err != nil {
-				return false, err
-			}
-			return after && !t.lab.IsAncestor(c, n), nil
-		})
-		return ps, planOrderScan, err
-	case xpath.AxisPreceding:
-		if t.Plan == Extent && t.ordered {
-			return t.rangeJoin(ctx, cands, false), planExtentRange, nil
-		}
-		ps, err := t.orderJoin(ctx, cands, func(c, n *xmltree.Node) (bool, error) {
-			before, err := t.before(n, c)
-			if err != nil {
-				return false, err
-			}
-			return before && !t.lab.IsAncestor(n, c), nil
-		})
+		ps, err := t.orderJoin(ctx, cands, following)
 		return ps, planOrderScan, err
 	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
 		following := step.Axis == xpath.AxisFollowingSibling
-		if t.Plan == Extent && t.ordered {
+		if extent && t.ordered {
 			return t.extentSiblings(ctx, cands, following), planExtentSibling, nil
 		}
 		ps, err := t.siblingJoin(ctx, cands, following)
@@ -776,14 +704,13 @@ func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step) (Pairs, string, err
 	}
 }
 
-// before decides document order, preferring materialized ranks.
-func (t *Table) before(a, b *xmltree.Node) (bool, error) {
-	if ra, ok := t.rank(a); ok {
-		if rb, ok := t.rank(b); ok {
-			return ra < rb, nil
-		}
+// before decides whether row a precedes row b in document order: a < b on
+// an ordered table, else the labeling's Before.
+func (t *Table) before(a, b int) (bool, error) {
+	if t.ordered {
+		return a < b, nil
 	}
-	return t.lab.Before(a, b)
+	return t.lab.Before(t.nodes[a], t.nodes[b])
 }
 
 func (t *Table) siblingJoin(ctx, cands RowSet, following bool) (Pairs, error) {
@@ -803,17 +730,14 @@ func (t *Table) siblingJoin(ctx, cands RowSet, following bool) (Pairs, error) {
 			continue
 		}
 		for _, i := range byParent[cn.Parent] {
-			n := t.nodes[i]
-			if n == cn || !t.lab.IsParent(cn.Parent, n) {
+			if i == c || !t.lab.IsParent(cn.Parent, t.nodes[i]) {
 				continue
 			}
-			var keep bool
-			var err error
+			a, b := i, c
 			if following {
-				keep, err = t.before(cn, n)
-			} else {
-				keep, err = t.before(n, cn)
+				a, b = c, i
 			}
+			keep, err := t.before(a, b)
 			if err != nil {
 				return nil, err
 			}

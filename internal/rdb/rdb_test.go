@@ -212,7 +212,6 @@ func TestExecStatsZeroAllocPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := Build(lab)
-	tab.Warm()
 	q, err := xpath.Parse("//act//line")
 	if err != nil {
 		t.Fatal(err)

@@ -38,18 +38,12 @@ type LoadRequest struct {
 	RecyclePrimes bool `json:"recycle_primes,omitempty"`
 	// OrderPreserving keeps prefix-scheme sibling codes in document order.
 	OrderPreserving bool `json:"order_preserving,omitempty"`
-	// Planner selects the structural-join strategy: "extent" (default) picks
-	// a physical operator per step from the table's document-order columns,
-	// "stacktree" forces label-probe stack merges on descendant steps, and
-	// "nestedloop" forces pairwise label-probe joins everywhere.
-	Planner string `json:"planner,omitempty"`
 }
 
 // DocInfo describes one hosted document.
 type DocInfo struct {
 	Name         string `json:"name"`
 	Scheme       string `json:"scheme"`
-	Planner      string `json:"planner"`
 	Elements     int    `json:"elements"`
 	MaxLabelBits int    `json:"max_label_bits"`
 	// Generation counts structural updates applied since load. Node ids are
@@ -142,14 +136,14 @@ type StreamChunk struct {
 // QueryExplain is the structured profile of one query execution, answering
 // the planner questions a per-request caller cannot otherwise see: which
 // scheme served the query, whether the cache answered it, how each location
-// step narrowed the candidate set, what the ancestor-test fast path did, and
-// where the time went.
+// step narrowed the candidate set and which join answered it, and where the
+// time went.
 type QueryExplain struct {
 	// Shape is the query's normalized form (positional predicates masked as
 	// [*]) — the key the query-stats registry aggregates under.
 	Shape string `json:"shape"`
 	// CacheHit reports the result came from the per-document query cache; no
-	// steps were executed and the step/fastpath fields are absent.
+	// steps were executed and the step fields are absent.
 	CacheHit bool `json:"cache_hit"`
 	// Backend is the labeling that served the evaluation: the document's
 	// scheme name (e.g. "prime").
@@ -164,11 +158,6 @@ type QueryExplain struct {
 	// short-circuits on an empty intermediate context, so this can be shorter
 	// than the query.
 	Steps []ExplainStep `json:"steps,omitempty"`
-	// Fastpath reports the prime ancestor-test fast path's counter deltas
-	// over this execution. Absent for non-prime backends. The counters are
-	// registry-wide, so under concurrent load the deltas are approximate
-	// (they may include probes from overlapping queries).
-	Fastpath *ExplainFastpath `json:"fastpath,omitempty"`
 	// Stages is the per-stage timing breakdown, drawn from the same request
 	// trace /debug/traces records.
 	Stages []ExplainStage `json:"stages,omitempty"`
@@ -193,22 +182,13 @@ type ExplainStep struct {
 	Candidates int `json:"candidates"`
 	Pairs      int `json:"pairs"`
 	Emitted    int `json:"emitted"`
-	// JoinPlan is the physical operator the per-step planner chose: "scan"
-	// for the document-context first step, then "nested-loop",
-	// "extent-probe", "extent-merge", "extent-cover", "extent-range",
-	// "extent-range-cover", "extent-sibling", "stack-merge", "order-scan",
-	// or "sibling-index".
+	// JoinPlan is the physical operator the extent planner chose: "scan"
+	// for the document-context first step, then "extent-probe",
+	// "extent-merge", "extent-cover", "extent-range", "extent-range-cover"
+	// or "extent-sibling" — and, on a document whose scheme has no order
+	// numbers, "order-scan" or "sibling-index" for the order and sibling
+	// axes, which ask the labeling's Before.
 	JoinPlan string `json:"join_plan,omitempty"`
-}
-
-// ExplainFastpath is the ancestor-test fast path's counter deltas over one
-// query: how many probes the prefilter rejected without touching big.Int
-// arithmetic, and how the exact checks split between uint64 and big paths.
-type ExplainFastpath struct {
-	PrefilterRejects uint64 `json:"prefilter_rejects"`
-	ExactU64         uint64 `json:"exact_u64"`
-	ExactBig         uint64 `json:"exact_big"`
-	ExactTrue        uint64 `json:"exact_true"`
 }
 
 // ExplainStage is one stage timing of a profiled query, mirroring the

@@ -213,7 +213,6 @@ func TestIncrementalReindexEquivalence(t *testing.T) {
 				}
 				ref := rdb.Build(pd.lab)
 				ref.Plan = pd.table.Plan
-				ref.Warm()
 				if err := pd.table.Diff(ref); err != nil {
 					t.Fatalf("op %d %+v: %v", i, op, err)
 				}
@@ -320,7 +319,6 @@ func TestConcurrentBatchAndSingleUpdates(t *testing.T) {
 	}
 	ref := rdb.Build(d.lab)
 	ref.Plan = d.table.Plan
-	ref.Warm()
 	if err := d.table.Diff(ref); err != nil {
 		t.Errorf("patched table diverged from fresh build: %v", err)
 	}

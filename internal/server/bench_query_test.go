@@ -1,11 +1,11 @@
 package server
 
-// Query-path benchmarks: the extent planner against the label-predicate
-// nested-loop planner, the count() and streaming terminals, and the prime
-// ancestor test's prefilter. `make bench-query` runs TestQueryBenchReport,
-// which executes the measurements via testing.Benchmark and writes
-// machine-readable results to the path in $BENCH_QUERY_JSON
-// (BENCH_query.json).
+// Query-path benchmarks: labeld's extent planner against the
+// label-predicate nested-loop planner, the count() and streaming terminals,
+// and the prime ancestor test's prefilter. `make bench-query` runs
+// TestQueryBenchReport, which executes the measurements via
+// testing.Benchmark and writes machine-readable results to the path in
+// $BENCH_QUERY_JSON (BENCH_query.json).
 //
 // The fixture is deliberately deep: chains of nested elements whose label
 // products overflow 64 bits, so a label-predicate join pays a big.Int
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"primelabel/internal/labeling/prime"
+	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
 )
 
@@ -48,23 +49,16 @@ func deepXML(chains, depth, leaves int) string {
 	return b.String()
 }
 
-// loadQueryBench loads a deep document into a cache-disabled store on the
-// nested-loop planner (every step is a label-predicate join, the paper's
-// Section 5.2 shape) and returns the store plus the handles the benchmark
-// reads and toggles: the document and its prime labeling (fast path).
-func loadQueryBench(t testing.TB, chains, depth, leaves int) (*Store, *document, *prime.Labeling) {
-	return loadQueryBenchPlanner(t, chains, depth, leaves, "nestedloop")
-}
-
-// loadQueryBenchPlanner is loadQueryBench with the join planner selectable,
-// so the report can compare the extent planner against the nested-loop
-// baseline on the identical fixture.
-func loadQueryBenchPlanner(t testing.TB, chains, depth, leaves int, planner string) (*Store, *document, *prime.Labeling) {
+// loadQueryBench loads a deep document into a cache-disabled store and
+// returns the store, the served document, a nested-loop table over the
+// served labeling (every step a label-predicate join, the paper's Section
+// 5.2 shape) and that prime labeling, whose fast path the benchmarks
+// toggle.
+func loadQueryBench(t testing.TB, chains, depth, leaves int) (*Store, *document, *rdb.Table, *prime.Labeling) {
 	t.Helper()
 	st := NewStore(NewMetrics(), 0) // no query cache: every query evaluates
 	if _, err := st.Load(context.Background(), "bench", api.LoadRequest{
 		XML:        deepXML(chains, depth, leaves),
-		Planner:    planner,
 		TrackOrder: true, // following/preceding need document order
 	}); err != nil {
 		t.Fatal(err)
@@ -77,18 +71,19 @@ func loadQueryBenchPlanner(t testing.TB, chains, depth, leaves int, planner stri
 	if !ok {
 		t.Fatalf("bench doc is %T, want *prime.Labeling", d.lab)
 	}
-	return st, d, pl
+	return st, d, rdb.Build(pl), pl
 }
 
-// benchQuery measures one query against the store, with the fast path set
-// as requested. Toggling happens with no traffic in flight — the benchmark
-// is the only client.
-func benchQuery(st *Store, pl *prime.Labeling, query string, fast bool) func(b *testing.B) {
+// benchExec measures one query executed on a table, with the fast path set
+// as requested. Both columns of the extent comparison go through it, the
+// served document's extent table and the nested-loop one alike. Toggling
+// happens with no traffic in flight — the benchmark is the only client.
+func benchExec(tab *rdb.Table, pl *prime.Labeling, query string, fast bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		pl.SetFastPath(fast)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Query(context.Background(), "bench", query); err != nil {
+			if _, err := tab.ExecPathString(query); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,13 +99,13 @@ var axisBenchQueries = []struct{ axis, query string }{
 }
 
 func BenchmarkQueryDescendantBaseline(b *testing.B) {
-	st, _, pl := loadQueryBench(b, 8, 20, 74)
-	benchQuery(st, pl, "//c//l", false)(b)
+	_, _, nl, pl := loadQueryBench(b, 8, 20, 74)
+	benchExec(nl, pl, "//c//l", false)(b)
 }
 
 func BenchmarkQueryDescendantFast(b *testing.B) {
-	st, _, pl := loadQueryBench(b, 8, 20, 74)
-	benchQuery(st, pl, "//c//l", true)(b)
+	_, _, nl, pl := loadQueryBench(b, 8, 20, 74)
+	benchExec(nl, pl, "//c//l", true)(b)
 }
 
 // TestQueryBenchReport runs the extent-planner, count-mode and streaming
@@ -125,10 +120,11 @@ func TestQueryBenchReport(t *testing.T) {
 		t.Skip("set BENCH_QUERY_JSON to run the query benchmark report")
 	}
 
-	// extentRow compares one query on the extent planner against the
-	// nested-loop planner, both with the fast path on and one worker — the
-	// column isolates what the document-order joins alone buy. JoinPlans
-	// records the per-step plan the cost model picked, straight from EXPLAIN.
+	// extentRow compares one query on the served document's extent table
+	// against a nested-loop table over the same labeling, both executed
+	// through rdb with the fast path on — the column isolates what the
+	// document-order joins alone buy. JoinPlans records the per-step plan
+	// the cost model picked, straight from EXPLAIN.
 	type extentRow struct {
 		Axis         string   `json:"axis"`
 		Query        string   `json:"query"`
@@ -167,32 +163,31 @@ func TestQueryBenchReport(t *testing.T) {
 		Streaming    streamReport `json:"streaming"`
 	}{}
 
-	// The ~12k-element deep document on the nested-loop planner.
-	st, d, pl := loadQueryBench(t, 8, 20, 74)
+	// The ~12k-element deep document.
+	st, d, nl, pl := loadQueryBench(t, 8, 20, 74)
 	report.MaxLabelBits = d.lab.MaxLabelBits()
 	if report.MaxLabelBits <= 64 {
 		t.Errorf("max label bits = %d; fixture too shallow to exercise the big.Int path", report.MaxLabelBits)
 	}
 
 	// Reject ratio, measured on a fresh counter over one full fast-path
-	// evaluation of the descendant join.
+	// evaluation of the descendant join on the nested-loop table (the
+	// extent table runs no ancestor test).
 	var stats prime.AncestorStats
 	pl.SetStats(&stats)
 	pl.SetFastPath(true)
-	if _, err := st.Query(context.Background(), "bench", "//c//l"); err != nil {
+	if _, err := nl.ExecPathString("//c//l"); err != nil {
 		t.Fatal(err)
 	}
-	pl.SetStats(st.metrics.Ancestors())
+	pl.SetStats(nil)
 	report.RejectRatio = stats.RejectRatio()
 
-	// Extent-planner series: the identical fixture loaded on the extent
-	// planner, each axis compared against the nested-loop planner. EXPLAIN
-	// supplies the per-step plan the cost model picked, so the report
-	// records which join answered each row.
+	// Extent-planner series: each axis on the served extent table against
+	// the nested-loop table. EXPLAIN supplies the per-step plan the cost
+	// model picked, so the report records which join answered each row.
 	ctx := context.Background()
-	est, _, epl := loadQueryBenchPlanner(t, 8, 20, 74, "extent")
 	for _, q := range axisBenchQueries {
-		exResp, err := est.QueryMode(ctx, "bench", q.query, api.QueryModeNodes, true)
+		exResp, err := st.QueryMode(ctx, "bench", q.query, api.QueryModeNodes, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +195,8 @@ func TestQueryBenchReport(t *testing.T) {
 		for _, s := range exResp.Explain.Steps {
 			plans = append(plans, s.JoinPlan)
 		}
-		nr := testing.Benchmark(benchQuery(st, pl, q.query, true))
-		er := testing.Benchmark(benchQuery(est, epl, q.query, true))
+		nr := testing.Benchmark(benchExec(nl, pl, q.query, true))
+		er := testing.Benchmark(benchExec(d.table, pl, q.query, true))
 		report.Extent = append(report.Extent, extentRow{
 			Axis:         q.axis,
 			Query:        q.query,
@@ -218,14 +213,14 @@ func TestQueryBenchReport(t *testing.T) {
 	// column is exactly the materialization cost.
 	nodesR := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := est.Query(ctx, "bench", "//c//l"); err != nil {
+			if _, err := st.Query(ctx, "bench", "//c//l"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	countR := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := est.QueryMode(ctx, "bench", "//c//l", api.QueryModeCount, false); err != nil {
+			if _, err := st.QueryMode(ctx, "bench", "//c//l", api.QueryModeCount, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -245,7 +240,7 @@ func TestQueryBenchReport(t *testing.T) {
 	for i := 0; i < streamRuns; i++ {
 		start := time.Now()
 		var headerAt time.Time
-		err := est.QueryStream(ctx, "bench", "//c//l", false, func(v any) error {
+		err := st.QueryStream(ctx, "bench", "//c//l", false, func(v any) error {
 			if h, ok := v.(api.StreamHeader); ok {
 				headerAt = time.Now()
 				streamRows = h.Count

@@ -20,8 +20,9 @@ import (
 // The cache has its own mutex so readers holding the document's RLock can
 // share it: lookups and fills interleave freely across concurrent queries.
 // Cached *api.QueryResponse values are shared between requests and must be
-// treated as immutable by all callers. The hit/miss counters are atomics
-// read by the metrics scraper without taking the cache lock.
+// treated as immutable by all callers. The hit/miss counters count lookups,
+// one per query however many keys it probes; they are atomics read by the
+// metrics scraper without taking the cache lock.
 type queryCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -48,31 +49,33 @@ func newQueryCache(capacity int) *queryCache {
 	}
 }
 
-// get returns the cached response for a query computed at generation gen,
-// promoting it to most recently used. An entry from any other generation
-// is stale: it is evicted and the lookup counts as a miss.
-func (c *queryCache) get(query string, gen uint64) (*api.QueryResponse, bool) {
-	if c.cap <= 0 {
-		c.misses.Add(1)
-		return nil, false
+// get is one lookup: it returns the response cached under the first of
+// keys that holds one computed at generation gen, promoting it to most
+// recently used. An entry from any other generation is stale and is evicted
+// on the way. The lookup counts one hit or one miss, however many keys it
+// probes.
+func (c *queryCache) get(gen uint64, keys ...string) (*api.QueryResponse, bool) {
+	if c.cap > 0 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, k := range keys {
+			el, ok := c.items[k]
+			if !ok {
+				continue
+			}
+			ent := el.Value.(*cacheEntry)
+			if ent.gen != gen {
+				c.ll.Remove(el)
+				delete(c.items, ent.key)
+				continue
+			}
+			c.ll.MoveToFront(el)
+			c.hits.Add(1)
+			return ent.resp, true
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[query]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if ent.gen != gen {
-		c.ll.Remove(el)
-		delete(c.items, ent.key)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return ent.resp, true
+	c.misses.Add(1)
+	return nil, false
 }
 
 // put stores a response computed at generation gen, evicting the least

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,18 +14,18 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 	r := func(n int) *api.QueryResponse { return &api.QueryResponse{Count: n} }
 	c.put("a", 0, r(1))
 	c.put("b", 0, r(2))
-	if _, ok := c.get("a", 0); !ok {
+	if _, ok := c.get(0, "a"); !ok {
 		t.Fatal("a missing before capacity reached")
 	}
 	// a was just used, so adding c must evict b.
 	c.put("c", 0, r(3))
-	if _, ok := c.get("b", 0); ok {
+	if _, ok := c.get(0, "b"); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if got, ok := c.get("a", 0); !ok || got.Count != 1 {
+	if got, ok := c.get(0, "a"); !ok || got.Count != 1 {
 		t.Fatalf("a = %+v, %v", got, ok)
 	}
-	if got, ok := c.get("c", 0); !ok || got.Count != 3 {
+	if got, ok := c.get(0, "c"); !ok || got.Count != 3 {
 		t.Fatalf("c = %+v, %v", got, ok)
 	}
 	if c.len() != 2 {
@@ -36,7 +37,7 @@ func TestQueryCacheReplaceInPlace(t *testing.T) {
 	c := newQueryCache(4)
 	c.put("q", 1, &api.QueryResponse{Count: 1})
 	c.put("q", 1, &api.QueryResponse{Count: 2}) // replace in place
-	if got, _ := c.get("q", 1); got.Count != 2 {
+	if got, _ := c.get(1, "q"); got.Count != 2 {
 		t.Fatalf("replace kept old value %d", got.Count)
 	}
 	if c.len() != 1 {
@@ -52,25 +53,25 @@ func TestQueryCacheGenerationTagging(t *testing.T) {
 	c := newQueryCache(4)
 	c.put("q", 1, &api.QueryResponse{Count: 1})
 	c.put("other", 1, &api.QueryResponse{Count: 9})
-	if got, ok := c.get("q", 1); !ok || got.Count != 1 {
+	if got, ok := c.get(1, "q"); !ok || got.Count != 1 {
 		t.Fatalf("same-generation lookup missed: %+v, %v", got, ok)
 	}
-	if _, ok := c.get("q", 2); ok {
+	if _, ok := c.get(2, "q"); ok {
 		t.Fatal("stale-generation lookup hit")
 	}
 	if c.len() != 1 {
 		t.Fatalf("stale entry not evicted lazily: len = %d, want 1", c.len())
 	}
 	// The untouched entry survives the other's invalidation (no sweep)...
-	if got, ok := c.get("other", 1); !ok || got.Count != 9 {
+	if got, ok := c.get(1, "other"); !ok || got.Count != 9 {
 		t.Fatalf("unrelated entry lost: %+v, %v", got, ok)
 	}
 	// ...and a put at the new generation overwrites gen and value together.
 	c.put("other", 2, &api.QueryResponse{Count: 10})
-	if got, ok := c.get("other", 2); !ok || got.Count != 10 {
+	if got, ok := c.get(2, "other"); !ok || got.Count != 10 {
 		t.Fatalf("new generation missed: %+v, %v", got, ok)
 	}
-	if _, ok := c.get("other", 1); ok {
+	if _, ok := c.get(1, "other"); ok {
 		t.Fatal("old generation still served after re-put")
 	}
 }
@@ -80,11 +81,11 @@ func TestQueryCacheGenerationTagging(t *testing.T) {
 // misses) all land where the per-document metric series expects them.
 func TestQueryCacheCounters(t *testing.T) {
 	c := newQueryCache(4)
-	c.get("q", 1) // miss: empty
+	c.get(1, "q") // miss: empty
 	c.put("q", 1, &api.QueryResponse{Count: 1})
-	c.get("q", 1) // hit
-	c.get("q", 1) // hit
-	c.get("q", 2) // miss: stale generation
+	c.get(1, "q") // hit
+	c.get(1, "q") // hit
+	c.get(2, "q") // miss: stale generation
 	if hits, misses := c.counters(); hits != 2 || misses != 2 {
 		t.Fatalf("counters = %d hits, %d misses; want 2, 2", hits, misses)
 	}
@@ -93,7 +94,7 @@ func TestQueryCacheCounters(t *testing.T) {
 func TestQueryCacheDisabled(t *testing.T) {
 	c := newQueryCache(0)
 	c.put("q", 0, &api.QueryResponse{Count: 1})
-	if _, ok := c.get("q", 0); ok {
+	if _, ok := c.get(0, "q"); ok {
 		t.Fatal("capacity 0 must never cache")
 	}
 	if hits, misses := c.counters(); hits != 0 || misses != 1 {
@@ -113,11 +114,59 @@ func TestQueryCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("q%d", (w+i)%12)
 				gen := uint64(i / 50)
-				if _, ok := c.get(key, gen); !ok {
+				if _, ok := c.get(gen, key); !ok {
 					c.put(key, gen, &api.QueryResponse{Count: i})
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestDocCacheCountersCountEachQueryOnce pins the per-document cache
+// counters to one hit or one miss per query, in every terminal mode with
+// explain on and off, so on a one-document store they sum to the query
+// count and equal the global counters. Count and exists queries probe two
+// cache keys and must still count once, with caching on or off.
+func TestDocCacheCountersCountEachQueryOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, capacity := range []int{16, 0} {
+		st := NewStore(NewMetrics(), capacity)
+		if _, err := st.Load(ctx, "books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
+			t.Fatal(err)
+		}
+		queries := uint64(0)
+		for round := 0; round < 2; round++ {
+			for _, q := range []string{"//book", "//title", "//shelf/book[2]"} {
+				for _, explain := range []bool{false, true} {
+					// Count first, so count and exists probe both keys on
+					// a fresh document before a full entry exists.
+					for _, mode := range []string{api.QueryModeCount, api.QueryModeExists, api.QueryModeNodes} {
+						if _, err := st.QueryMode(ctx, "books", q, mode, explain); err != nil {
+							t.Fatal(err)
+						}
+						queries++
+					}
+					if err := st.QueryStream(ctx, "books", q, explain, func(any) error { return nil }); err != nil {
+						t.Fatal(err)
+					}
+					queries++
+				}
+			}
+		}
+		d, err := st.get("books")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := d.cache.counters()
+		if hits+misses != queries {
+			t.Errorf("cache %d: %d hits + %d misses for %d queries", capacity, hits, misses, queries)
+		}
+		if gh, gm := st.metrics.cacheHits.Load(), st.metrics.cacheMisses.Load(); hits != gh || misses != gm {
+			t.Errorf("cache %d: document counts %d hits, %d misses; global %d, %d", capacity, hits, misses, gh, gm)
+		}
+		if capacity == 0 && hits != 0 {
+			t.Errorf("disabled cache counted %d hits", hits)
+		}
+	}
 }

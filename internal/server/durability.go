@@ -14,9 +14,7 @@ import (
 	"fmt"
 	"time"
 
-	"primelabel/internal/labeling/prime"
 	"primelabel/internal/parallel"
-	"primelabel/internal/rdb"
 	"primelabel/internal/server/persist"
 	"primelabel/internal/server/trace"
 )
@@ -70,7 +68,6 @@ func (s *Store) writeSnapshotLocked(ctx context.Context, d *document) error {
 	endSnap := trace.Start(ctx, trace.StageSnapshotWrite)
 	size, err := s.persist.WriteSnapshot(ctx, persist.Meta{
 		Name:       d.name,
-		Planner:    d.planner,
 		Generation: d.gen,
 		Relabeled:  d.relabeled,
 		FenceEpoch: d.fenceEpoch,
@@ -193,8 +190,9 @@ func (s *Store) compact(d *document) {
 // flags, final generation and relabel totals) against what replay
 // produced. what names the record in error messages; base is the sentinel
 // a divergence wraps (persist.ErrCorrupt during crash recovery,
-// replica.ErrDiverged during live replication). patched=false means the
-// element table was rebuilt and the caller must Warm it. Callers hold the
+// replica.ErrDiverged during live replication). patched=false means at
+// least one op rebuilt the element table instead of patching it. Callers
+// hold the
 // write lock (or own the unpublished document). On a divergence error the
 // document's state is partially mutated and must be discarded.
 func (d *document) replayRecord(rec persist.Record, what string, base error) (patched bool, err error) {
@@ -345,24 +343,17 @@ func (s *Store) recoverOne(name string) error {
 	if meta.Name != name {
 		return fmt.Errorf("%w: snapshot meta names %q", persist.ErrCorrupt, meta.Name)
 	}
-	plan, planName, err := plannerOf(meta.Planner)
-	if err != nil {
-		return fmt.Errorf("%w: snapshot planner: %v", persist.ErrCorrupt, err)
-	}
-	if pl, ok := lab.(*prime.Labeling); ok {
-		pl.SetStats(s.metrics.Ancestors())
-	}
+	// meta.Planner is ignored: a snapshot written when labeld still served
+	// other planners loads onto the extent planner like any other.
 	d := &document{
 		name:       name,
-		planner:    planName,
 		lab:        lab,
 		cache:      newQueryCache(s.cacheCap),
 		gen:        meta.Generation,
 		relabeled:  meta.Relabeled,
 		fenceEpoch: meta.FenceEpoch,
 	}
-	d.table = rdb.Build(lab)
-	d.table.Plan = plan
+	d.table = newTable(lab)
 
 	records, validEnd, err := s.persist.ReplayJournal(name)
 	if err != nil {
@@ -386,7 +377,6 @@ func (s *Store) recoverOne(name string) error {
 		}
 		replayed++
 	}
-	d.table.Warm()
 
 	j, err := s.persist.OpenJournalAt(name, validEnd)
 	if err != nil {

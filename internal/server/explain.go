@@ -4,9 +4,9 @@ package server
 // dress an execution in its wire profile, plus the store's query-stats
 // registry accessors. The profile answers the planner questions that are
 // otherwise invisible per-request — which scheme served the query, whether
-// the cache answered it, how each step narrowed the candidate set, and what
-// the ancestor-test fast path did — in the probe-count-and-label-bits
-// currency ancestry labeling schemes are compared by.
+// the cache answered it, how each step narrowed the candidate set and which
+// join answered it — in the candidate-count-and-label-bits currency
+// ancestry labeling schemes are compared by.
 
 import (
 	"context"
@@ -24,19 +24,6 @@ func (s *Store) QueryStats() *querystats.Registry { return s.querystats }
 // bounded to n shapes (<= 0 selects the default). Call before the store
 // starts serving; statistics recorded so far are discarded.
 func (s *Store) SetQueryStatsCapacity(n int) { s.querystats = querystats.New(n) }
-
-// fastpathCounters snapshots the registry-owned ancestor-fastpath counters.
-// The counters are global across documents, so a before/after delta taken
-// around one evaluation is approximate under concurrent prime-backed load.
-func (s *Store) fastpathCounters() api.ExplainFastpath {
-	a := s.metrics.Ancestors()
-	return api.ExplainFastpath{
-		PrefilterRejects: a.PrefilterRejects.Load(),
-		ExactU64:         a.ExactU64.Load(),
-		ExactBig:         a.ExactBig.Load(),
-		ExactTrue:        a.ExactTrue.Load(),
-	}
-}
 
 // explainSteps converts the executor's step profiles to their wire form.
 func explainSteps(ex *rdb.Explain) []api.ExplainStep {

@@ -126,7 +126,7 @@ func explainParityRounds(t *testing.T, c *client.Client, plainDoc, profiledDoc, 
 
 // TestExplainProfileContents pins what a miss-path profile must carry on a
 // prime-backed document: the normalized shape, per-step narrowing that adds
-// up, fastpath counter deltas, label-bit stats, and stage timings.
+// up, label-bit stats, and stage timings.
 func TestExplainProfileContents(t *testing.T) {
 	srv, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
 	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
@@ -159,9 +159,6 @@ func TestExplainProfileContents(t *testing.T) {
 	if sum != ex.Candidates {
 		t.Errorf("step candidates sum %d != profile candidates %d", sum, ex.Candidates)
 	}
-	if ex.Fastpath == nil {
-		t.Error("prime-backed miss carries no fastpath counters")
-	}
 	if ex.MaxLabelBits <= 0 {
 		t.Errorf("max_label_bits = %d", ex.MaxLabelBits)
 	}
@@ -184,14 +181,14 @@ func TestExplainProfileContents(t *testing.T) {
 	}
 
 	// Count and stream misses take the same read path and carry the same
-	// fastpath deltas.
+	// step detail.
 	ctx := context.Background()
 	cnt, err := srv.store.QueryMode(ctx, "books", "//title", api.QueryModeCount, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt.Explain == nil || cnt.Explain.Fastpath == nil {
-		t.Errorf("count-mode miss carries no fastpath counters: %+v", cnt.Explain)
+	if cnt.Explain == nil || len(cnt.Explain.Steps) == 0 {
+		t.Errorf("count-mode miss carries no step detail: %+v", cnt.Explain)
 	}
 	var done *api.QueryExplain
 	if err := srv.store.QueryStream(ctx, "books", "//shelf", true, func(v any) error {
@@ -202,8 +199,8 @@ func TestExplainProfileContents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if done == nil || !done.Streamed || done.Fastpath == nil {
-		t.Errorf("streamed miss carries no fastpath counters: %+v", done)
+	if done == nil || !done.Streamed || len(done.Steps) == 0 {
+		t.Errorf("streamed miss carries no step detail: %+v", done)
 	}
 }
 

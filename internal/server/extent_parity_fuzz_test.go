@@ -1,16 +1,21 @@
 package server
 
-// FuzzExtentJoinParity holds the extent planner to the divisibility
-// nested-loop oracle end to end: two documents, identical content,
-// identical fuzzed update storms (driving incremental extent patching
-// through the live update path), then every axis queried on both. Any
-// divergence — rows, order, counts, or which updates fail — is a planner
-// or extent-maintenance bug.
+// FuzzExtentJoinParity holds labeld's extent planner to the divisibility
+// nested-loop oracle end to end: two served documents, identical content,
+// identical fuzzed update storms — one patching its element table in place
+// through the live update path, one rebuilding it per op — then every axis
+// queried on both. Both must accept and fail the same updates, and each
+// must answer every query exactly as an rdb.NestedLoop table built fresh
+// over its labeling after the storm (which also checks the ordered fact
+// and the structural columns again). Any divergence — rows, order, counts,
+// or which updates fail — is a planner or extent-maintenance bug.
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
 )
 
@@ -37,18 +42,22 @@ func FuzzExtentJoinParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ctx := context.Background()
 		st := NewStore(NewMetrics(), 0)
-		for name, planner := range map[string]string{"ext": "extent", "nl": "nestedloop"} {
-			if _, err := st.Load(ctx, name, api.LoadRequest{
-				XML: sampleXML, TrackOrder: true, Planner: planner,
-			}); err != nil {
+		docs := []string{"patched", "rebuilt"}
+		for _, name := range docs {
+			if _, err := st.Load(ctx, name, api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		rebuilt, err := st.get("rebuilt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt.noPatch = true
 		if len(ops) > 16 {
 			ops = ops[:16]
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			info, err := st.Info("ext")
+			info, err := st.Info("patched")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,36 +75,51 @@ func FuzzExtentJoinParity(f *testing.F) {
 				}
 				req = api.UpdateRequest{Op: api.OpDelete, Target: 1 + arg%(n-1)}
 			}
-			_, errE := st.Update(ctx, "ext", req)
-			_, errN := st.Update(ctx, "nl", req)
-			if (errE == nil) != (errN == nil) {
-				t.Fatalf("op %d %+v: extent err %v, nestedloop err %v", i/2, req, errE, errN)
+			_, errP := st.Update(ctx, "patched", req)
+			_, errR := st.Update(ctx, "rebuilt", req)
+			if (errP == nil) != (errR == nil) {
+				t.Fatalf("op %d %+v: patched err %v, rebuilt err %v", i/2, req, errP, errR)
 			}
 		}
-		for _, q := range extentParityQueries {
-			re, errE := st.Query(ctx, "ext", q)
-			rn, errN := st.Query(ctx, "nl", q)
-			if (errE == nil) != (errN == nil) {
-				t.Fatalf("%s: extent err %v, nestedloop err %v", q, errE, errN)
-			}
-			if errE != nil {
-				continue
-			}
-			if re.Count != rn.Count || len(re.Nodes) != len(rn.Nodes) {
-				t.Fatalf("%s: extent %d rows, nestedloop %d rows", q, re.Count, rn.Count)
-			}
-			for i := range re.Nodes {
-				if re.Nodes[i] != rn.Nodes[i] {
-					t.Fatalf("%s row %d: extent %+v, nestedloop %+v", q, i, re.Nodes[i], rn.Nodes[i])
-				}
-			}
-			// Count mode must agree with its own planner's full answer.
-			cm, err := st.QueryMode(ctx, "ext", q, api.QueryModeCount, false)
+		first := map[string]*api.QueryResponse{} // the patched document's answers
+		for _, name := range docs {
+			d, err := st.get(name)
 			if err != nil {
-				t.Fatalf("%s count mode: %v", q, err)
+				t.Fatal(err)
 			}
-			if cm.Count != re.Count {
-				t.Fatalf("%s: count mode %d, full query %d", q, cm.Count, re.Count)
+			oracle := rdb.Build(d.lab) // NestedLoop divisibility joins
+			if err := d.table.Diff(oracle); err != nil {
+				t.Fatalf("%s: served table diverged from a fresh build: %v", name, err)
+			}
+			for _, q := range extentParityQueries {
+				want, wantErr := oracle.ExecPathString(q)
+				got, err := st.Query(ctx, name, q)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s %s: served err %v, oracle err %v", name, q, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if got.Count != len(want) || len(got.Nodes) != len(want) {
+					t.Fatalf("%s %s: served %d rows, oracle %d rows", name, q, got.Count, len(want))
+				}
+				for i, row := range want {
+					if got.Nodes[i] != d.nodeRefs(rdb.RowSet{row})[0] {
+						t.Fatalf("%s %s row %d: served %+v, oracle row %d", name, q, i, got.Nodes[i], row)
+					}
+				}
+				if p, ok := first[q]; ok && !slices.Equal(p.Nodes, got.Nodes) {
+					t.Fatalf("%s: patched and rebuilt documents answer differently", q)
+				}
+				first[q] = got
+				// Count mode must agree with the full answer.
+				cm, err := st.QueryMode(ctx, name, q, api.QueryModeCount, false)
+				if err != nil {
+					t.Fatalf("%s %s count mode: %v", name, q, err)
+				}
+				if cm.Count != got.Count {
+					t.Fatalf("%s %s: count mode %d, full query %d", name, q, cm.Count, got.Count)
+				}
 			}
 		}
 	})

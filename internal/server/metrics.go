@@ -12,7 +12,6 @@ import (
 
 	"primelabel/internal/buildinfo"
 	"primelabel/internal/hist"
-	"primelabel/internal/labeling/prime"
 	"primelabel/internal/server/trace"
 )
 
@@ -58,11 +57,6 @@ type Metrics struct {
 	// after the header left).
 	queryCountMode atomic.Uint64
 	queryStreamed  atomic.Uint64
-	// ancestors counts ancestor-test outcomes (prefilter rejects, exact
-	// divisions) across every prime-labeled document. The registry owns the
-	// counters — rather than the labelings — so the series stay monotonic
-	// when documents are replaced or deleted.
-	ancestors prime.AncestorStats
 
 	// Update-pipeline counters: failed update ops (validation failures,
 	// labeling errors, journal failures — acknowledged successes only land
@@ -174,12 +168,6 @@ func (m *Metrics) observeSpans(spans []trace.Span) {
 	}
 }
 
-// Ancestors returns the registry-owned ancestor-test outcome counters.
-// The store installs them on every prime labeling it hosts.
-func (m *Metrics) Ancestors() *prime.AncestorStats {
-	return &m.ancestors
-}
-
 // CacheHitRate returns the query cache hit fraction observed so far
 // (0 when no query has run).
 func (m *Metrics) CacheHitRate() float64 {
@@ -213,15 +201,6 @@ func (m *Metrics) WriteText(w io.Writer) {
 	line("labeld_query_count_mode_total %d", m.queryCountMode.Load())
 	line("# HELP labeld_query_streamed_total Queries served over the chunked NDJSON streaming endpoint.")
 	line("labeld_query_streamed_total %d", m.queryStreamed.Load())
-	line("# HELP labeld_query_fastpath_prefilter_rejects_total Ancestor tests rejected by the constant-time prefilter (depth, bit length, path signature) before any division ran.")
-	line("labeld_query_fastpath_prefilter_rejects_total %d", m.ancestors.PrefilterRejects.Load())
-	line("# HELP labeld_query_fastpath_exact_tests_total Ancestor tests that fell through to an exact division, by kind: u64 is a single machine-word modulo, big a big-integer remainder.")
-	line(`labeld_query_fastpath_exact_tests_total{kind="u64"} %d`, m.ancestors.ExactU64.Load())
-	line(`labeld_query_fastpath_exact_tests_total{kind="big"} %d`, m.ancestors.ExactBig.Load())
-	line("# HELP labeld_query_fastpath_exact_true_total Exact ancestor tests that confirmed ancestry.")
-	line("labeld_query_fastpath_exact_true_total %d", m.ancestors.ExactTrue.Load())
-	line("# HELP labeld_query_fastpath_reject_ratio Fraction of non-ancestor outcomes the prefilter caught before any division (gauge).")
-	line("labeld_query_fastpath_reject_ratio %g", m.ancestors.RejectRatio())
 	line("# HELP labeld_updates_total Dynamic updates applied (insert, wrap, delete).")
 	line("labeld_updates_total %d", m.updates.Load())
 	line("# HELP labeld_relabeled_nodes_total Labels written by updates — the paper's relabeling cost, accumulated online.")

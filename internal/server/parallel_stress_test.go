@@ -11,8 +11,7 @@ import (
 // TestParallelQueriesDuringBatchedUpdates races concurrent readers
 // against batched and single updates on the same document, under both
 // reindex paths: one document patches its element table incrementally, the
-// other forces a full rebuild per op (which must carry the table's planner
-// onto the fresh table). Run with -race; the invariant beyond "no race, no
+// other forces a full rebuild per op. Run with -race; the invariant beyond "no race, no
 // error" is that //book counts only grow, since the writers only insert.
 func TestParallelQueriesDuringBatchedUpdates(t *testing.T) {
 	if testing.Short() {

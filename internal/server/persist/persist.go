@@ -68,9 +68,11 @@ var (
 type Meta struct {
 	// Name is the document's registry name.
 	Name string `json:"name"`
-	// Planner is the structural-join planner selection ("extent",
-	// "stacktree" or "nestedloop").
-	Planner string `json:"planner"`
+	// Planner is ignored. Servers that offered several structural-join
+	// planners recorded the document's ("extent", "stacktree" or
+	// "nestedloop") here; labeld serves every document on the extent
+	// planner and no longer writes it.
+	Planner string `json:"planner,omitempty"`
 	// Generation is the document's update generation at snapshot time.
 	Generation uint64 `json:"generation"`
 	// Relabeled is the cumulative relabel counter at snapshot time — the

@@ -3,8 +3,9 @@ package server
 // Relation probes are answered from the element table's extent and depth
 // columns and from row order. These tests hold them to each labeling's own
 // IsAncestor/IsParent/Before for every registered scheme, before and after
-// update storms on both reindex paths, and check that state persisted by
-// the old frozen-overlay server still loads and answers identically.
+// update storms on both reindex paths, pin which schemes are ordered, and
+// check that state persisted by older servers — the frozen overlay, other
+// planners — still loads and answers identically.
 
 import (
 	"context"
@@ -13,9 +14,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"primelabel/internal/labeling/prime"
 	"primelabel/internal/server/api"
+	"primelabel/internal/server/persist"
+	"primelabel/internal/xmlparse"
 	"primelabel/internal/xmltree"
 )
 
@@ -138,6 +144,116 @@ func TestRelationProbeParity(t *testing.T) {
 	}
 }
 
+// TestOrderedPerScheme pins which schemes serve from an ordered table —
+// row order is the labeling's document order — and that the fact survives
+// an update storm on both reindex paths. Only schemes with order numbers
+// (labeling.Orderer) qualify: prime with track_order, interval, xrel and
+// compact.
+func TestOrderedPerScheme(t *testing.T) {
+	ordered := map[string]bool{"prime-order": true, "interval": true, "xrel": true, "compact": true}
+	st := NewStore(NewMetrics(), 16)
+	ctx := context.Background()
+	for i, sc := range probeSchemes {
+		req := sc.req
+		req.XML = sampleXML
+		for _, noPatch := range []bool{false, true} {
+			name := fmt.Sprintf("%s-%v", sc.name, noPatch)
+			if _, err := st.Load(ctx, name, req); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			d, err := st.get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.noPatch = noPatch
+			if got := d.table.Ordered(); got != ordered[sc.name] {
+				t.Fatalf("%s: Ordered() = %v at load, want %v", name, got, ordered[sc.name])
+			}
+			probeStorm(t, st, name, int64(100+i))
+			if got := d.table.Ordered(); got != ordered[sc.name] {
+				t.Fatalf("%s: Ordered() = %v after the storm, want %v", name, got, ordered[sc.name])
+			}
+		}
+	}
+}
+
+// TestOldPlannerSnapshotsServeExtent recovers, and installs on a follower,
+// snapshots whose meta names a planner labeld no longer serves. The meta's
+// planner is ignored: every answer and probe matches a freshly loaded
+// document's byte for byte, and EXPLAIN shows the same extent join plans.
+func TestOldPlannerSnapshotsServeExtent(t *testing.T) {
+	ctx := context.Background()
+	fresh := NewStore(NewMetrics(), 16)
+	if _, err := fresh.Load(ctx, "books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
+		t.Fatal(err)
+	}
+	wantPlans := joinPlans(t, fresh)
+	want := oldStateAnswers(t, fresh, "books", extentParityQueries)
+	for _, planner := range []string{"stacktree", "nestedloop"} {
+		dir := t.TempDir()
+		mgr, err := persist.Open(dir, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmlparse.ParseString(sampleXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := prime.Scheme{Opts: prime.Options{TrackOrder: true}}.Label(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.WriteSnapshot(ctx, persist.Meta{Name: "books", Planner: planner}, lab); err != nil {
+			t.Fatal(err)
+		}
+		image, err := mgr.ReadSnapshotRaw("books")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		recovered := newPersistentStore(t, dir, 1000)
+		t.Cleanup(func() { recovered.Close() })
+		if names, err := recovered.Recover(); err != nil || fmt.Sprint(names) != "[books]" {
+			t.Fatalf("%s: recovered %v, %v", planner, names, err)
+		}
+		follower := newPersistentStore(t, t.TempDir(), 1000)
+		t.Cleanup(func() { follower.Close() })
+		if _, err := follower.InstallSnapshot(ctx, "books", image); err != nil {
+			t.Fatalf("%s: install: %v", planner, err)
+		}
+		for how, st := range map[string]*Store{"recovered": recovered, "installed": follower} {
+			if got := joinPlans(t, st); !slices.Equal(got, wantPlans) {
+				t.Errorf("%s snapshot %s: join plans %v, fresh load %v", planner, how, got, wantPlans)
+			}
+			got := oldStateAnswers(t, st, "books", extentParityQueries)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s snapshot %s: answers differ from a fresh load", planner, how)
+			}
+		}
+	}
+}
+
+// joinPlans runs every extentParityQueries query on the "books" document
+// with EXPLAIN and returns the step join plans, failing the test on any
+// plan that is not the document scan or an extent operator.
+func joinPlans(t *testing.T, st *Store) []string {
+	t.Helper()
+	var plans []string
+	for _, q := range extentParityQueries {
+		resp, err := st.QueryExplain(context.Background(), "books", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range resp.Explain.Steps {
+			if s.JoinPlan != "scan" && !strings.HasPrefix(s.JoinPlan, "extent-") {
+				t.Errorf("%s: step %s::%s joined by %q, not an extent plan", q, s.Axis, s.Name, s.JoinPlan)
+			}
+			plans = append(plans, q+" "+s.JoinPlan)
+		}
+	}
+	return plans
+}
+
 // oldStateDir holds state written by the server before the frozen compact
 // overlay was removed: a document recovered with its snapshot meta carrying
 // "frozen": true, and the answers that server gave for it.
@@ -158,9 +274,10 @@ var oldStateQueries = []string{
 
 // oldStateAnswers renders, in the recorded format, the answer to every
 // query in nodes, count and exists mode and to every relation probe over
-// the document's node ids. The store must not have cached any of the
-// queries yet.
-func oldStateAnswers(t *testing.T, st *Store, name string) []string {
+// the document's node ids. Stores compared through it must have run the
+// same queries before, since node-mode answers report whether the cache
+// served them.
+func oldStateAnswers(t *testing.T, st *Store, name string, queries []string) []string {
 	t.Helper()
 	ctx := context.Background()
 	info, err := st.Info(name)
@@ -168,7 +285,7 @@ func oldStateAnswers(t *testing.T, st *Store, name string) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	for _, q := range oldStateQueries {
+	for _, q := range queries {
 		resp, err := st.Query(ctx, name, q)
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +308,7 @@ func oldStateAnswers(t *testing.T, st *Store, name string) []string {
 			}
 		}
 	}
-	for _, q := range oldStateQueries {
+	for _, q := range queries {
 		for _, mode := range []string{api.QueryModeCount, api.QueryModeExists} {
 			resp, err := st.QueryMode(ctx, name, q, mode, false)
 			if err != nil {
@@ -220,7 +337,7 @@ func checkOldStateAnswers(t *testing.T, st *Store) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	got := oldStateAnswers(t, st, "books")
+	got := oldStateAnswers(t, st, "books", oldStateQueries)
 	if len(got) != len(want) {
 		t.Fatalf("%d answers, the old server recorded %d", len(got), len(want))
 	}

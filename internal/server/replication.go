@@ -27,8 +27,6 @@ import (
 	"time"
 
 	"primelabel/internal/labeling/codec"
-	"primelabel/internal/labeling/prime"
-	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
 	"primelabel/internal/server/persist"
 	"primelabel/internal/server/replica"
@@ -161,13 +159,7 @@ func (s *Store) InstallSnapshot(ctx context.Context, name string, image []byte) 
 	if meta.Name != name {
 		return 0, fmt.Errorf("replica snapshot names %q, want %q", meta.Name, name)
 	}
-	plan, planName, err := plannerOf(meta.Planner)
-	if err != nil {
-		return 0, fmt.Errorf("replica snapshot planner: %v", err)
-	}
-	if pl, ok := lab.(*prime.Labeling); ok {
-		pl.SetStats(s.metrics.Ancestors())
-	}
+	// meta.Planner is ignored, as in recovery.
 
 	s.mu.Lock()
 	old, existed := s.docs[name]
@@ -183,16 +175,13 @@ func (s *Store) InstallSnapshot(ctx context.Context, name string, image []byte) 
 	endIndex := trace.Start(ctx, trace.StageIndex)
 	d := &document{
 		name:       name,
-		planner:    planName,
 		lab:        lab,
 		cache:      newQueryCache(s.cacheCap),
 		gen:        meta.Generation,
 		relabeled:  meta.Relabeled,
 		fenceEpoch: meta.FenceEpoch,
 	}
-	d.table = rdb.Build(lab)
-	d.table.Plan = plan
-	d.table.Warm()
+	d.table = newTable(lab)
 	endIndex()
 
 	if s.persist != nil && codec.Supported(lab) {
@@ -273,9 +262,6 @@ func (s *Store) applyRecordLocked(ctx context.Context, d *document, rec persist.
 	if err != nil {
 		// State is partially mutated; the caller drops the document.
 		return d.gen, nil, err
-	}
-	if !patched {
-		d.table.Warm()
 	}
 	s.observeReindex(patched)
 	if rec.Fence > d.fenceEpoch {

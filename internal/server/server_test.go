@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestLoadInfoListDelete(t *testing.T) {
 	if !strings.HasPrefix(info.Scheme, "prime") {
 		t.Fatalf("scheme = %q", info.Scheme)
 	}
-	if info.Generation != 0 || info.Planner != "extent" {
+	if info.Generation != 0 {
 		t.Fatalf("unexpected info %+v", info)
 	}
 
@@ -318,6 +319,33 @@ func TestSchemesAcrossTheWire(t *testing.T) {
 	}
 	if _, err := c.Load("bad", api.LoadRequest{XML: "<broken"}); !isStatus(err, http.StatusBadRequest) {
 		t.Fatalf("broken xml: %v", err)
+	}
+}
+
+// TestLoadRejectsPlannerField pins that a load body naming a planner — an
+// option labeld no longer has — fails as an unknown field instead of being
+// silently served on the extent planner.
+func TestLoadRejectsPlannerField(t *testing.T) {
+	srv, _ := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
+	hc := &http.Client{Timeout: 5 * time.Second}
+	for _, planner := range []string{"extent", "stacktree", "nestedloop"} {
+		body := `{"xml":"<a><b/></a>","planner":"` + planner + `"}`
+		req, err := http.NewRequest(http.MethodPut, "http://"+srv.Addr()+"/docs/old", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"planner\"`) {
+			t.Errorf("planner %q: status %d, body %s; want 400 naming the unknown field", planner, resp.StatusCode, msg)
+		}
+	}
+	if srv.store.Count() != 0 {
+		t.Errorf("a rejected load left %d documents", srv.store.Count())
 	}
 }
 

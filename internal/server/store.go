@@ -7,11 +7,11 @@
 //
 // Concurrency model: each document carries its own sync.RWMutex. Queries
 // and relation probes take the read lock — they are genuinely read-only,
-// because every lazily built cache in the underlying packages is
-// pre-materialized (rdb.Table.Warm, the prime scheme's eager self-label
-// cache) — so any number of readers proceed in parallel. Updates take the
-// write lock, mutate the labeling, rebuild the element table and bump the
-// document's generation; cached query results are tagged with the
+// because an element table is safe for concurrent readers as soon as
+// rdb.Build returns and the prime scheme fills its self-label cache
+// eagerly — so any number of readers proceed in parallel. Updates take the
+// write lock, mutate the labeling, patch or rebuild the element table and
+// bump the document's generation; cached query results are tagged with the
 // generation they were computed at, so a bump invalidates them lazily
 // without sweeping the cache. The registry map has its own lock, held only
 // for lookups and load/delete, never during query evaluation.
@@ -57,13 +57,12 @@ var (
 
 // document is one hosted labeled document.
 type document struct {
-	mu      sync.RWMutex
-	name    string
-	planner string
-	lab     labeling.Labeling
-	table   *rdb.Table
-	cache   *queryCache
-	gen     uint64
+	mu    sync.RWMutex
+	name  string
+	lab   labeling.Labeling
+	table *rdb.Table
+	cache *queryCache
+	gen   uint64
 	// relabeled accumulates the labels written by every update applied to
 	// this document — the paper's Figures 16–18 metric, observed online.
 	relabeled uint64
@@ -173,21 +172,13 @@ func buildScheme(req api.LoadRequest) (labeling.Scheme, error) {
 	}
 }
 
-// plannerOf parses the planner selection. The extent planner — per-step
-// cost-based dispatch over the document-order columns — is the default;
-// "stacktree" and "nestedloop" remain selectable (and parse from persisted
-// metadata of older documents) for ablation and as the parity oracle.
-func plannerOf(name string) (rdb.Planner, string, error) {
-	switch name {
-	case "", "extent":
-		return rdb.Extent, "extent", nil
-	case "stacktree":
-		return rdb.StackTree, "stacktree", nil
-	case "nestedloop":
-		return rdb.NestedLoop, "nestedloop", nil
-	default:
-		return 0, "", fmt.Errorf("%w: unknown planner %q", ErrBadRequest, name)
-	}
+// newTable builds the element table labeld serves a labeling through, on
+// the extent planner — the only one labeld runs (rdb.Build's zero plan is
+// the nested loop). Every table the store builds comes from here.
+func newTable(lab labeling.Labeling) *rdb.Table {
+	t := rdb.Build(lab)
+	t.Plan = rdb.Extent
+	return t
 }
 
 // Load parses, labels and indexes a document, replacing any existing
@@ -206,10 +197,6 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 	if err != nil {
 		return api.DocInfo{}, err
 	}
-	plan, planName, err := plannerOf(req.Planner)
-	if err != nil {
-		return api.DocInfo{}, err
-	}
 	endParse := trace.Start(ctx, trace.StageParse)
 	tree, err := xmlparse.ParseDocument(strings.NewReader(req.XML), xmlparse.Options{})
 	endParse()
@@ -222,22 +209,14 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 	if err != nil {
 		return api.DocInfo{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if pl, ok := lab.(*prime.Labeling); ok {
-		// The store's metrics own the ancestor-test counters, so the series
-		// stay monotonic across document replacement and deletion.
-		pl.SetStats(s.metrics.Ancestors())
-	}
 	endIndex := trace.Start(ctx, trace.StageIndex)
-	table := rdb.Build(lab)
-	table.Plan = plan
-	table.Warm()
+	table := newTable(lab)
 	endIndex()
 	d := &document{
-		name:    name,
-		planner: planName,
-		lab:     lab,
-		table:   table,
-		cache:   newQueryCache(s.cacheCap),
+		name:  name,
+		lab:   lab,
+		table: table,
+		cache: newQueryCache(s.cacheCap),
 	}
 	s.mu.Lock()
 	old, existed := s.docs[name]
@@ -353,7 +332,6 @@ func (d *document) info() api.DocInfo {
 	return api.DocInfo{
 		Name:         d.name,
 		Scheme:       d.lab.SchemeName(),
-		Planner:      d.planner,
 		Elements:     d.table.Len(),
 		MaxLabelBits: d.lab.MaxLabelBits(),
 		Generation:   d.gen,
@@ -374,9 +352,9 @@ func (s *Store) Query(ctx context.Context, name, query string) (*api.QueryRespon
 
 // QueryExplain is Query with profiling: the response additionally carries a
 // QueryExplain describing the planner choice (cache hit, serving scheme),
-// per-step candidate/emitted counts, ancestor-fastpath counter deltas on
-// prime-backed documents, label-bit stats, and the request's per-stage
-// timings. The node set is exactly what Query would return.
+// per-step candidate/emitted counts and join plans, label-bit stats, and
+// the request's per-stage timings. The node set is exactly what Query
+// would return.
 func (s *Store) QueryExplain(ctx context.Context, name, query string) (*api.QueryResponse, error) {
 	return s.query(ctx, name, query, true)
 }
@@ -425,16 +403,17 @@ type queryRead struct {
 	hit *api.QueryResponse
 	// rows are the evaluated rows of a miss.
 	rows rdb.RowSet
-	// profile is a miss's planner profile (with per-step detail and
-	// fastpath deltas when explain is set), an explained hit's cache-hit
-	// stub, or nil on an unexplained hit.
+	// profile is a miss's planner profile (with per-step detail when
+	// explain is set), an explained hit's cache-hit stub, or nil on an
+	// unexplained hit.
 	profile *api.QueryExplain
 }
 
 // beginRead is the read path every query terminal shares. It counts the
 // query (and, when non-nil, the terminal's own mode counter), takes the
 // document's read lock (lock_wait span) and looks the query up in the
-// cache under each of keys in turn (cache_lookup span). On a miss it
+// cache under each of keys in turn (cache_lookup span) — one cache hit or
+// one miss per query, however many keys it probes. On a miss it
 // evaluates the query (xpath_eval span) and builds the planner profile; an
 // evaluation error is recorded into query stats and returned. Unless it
 // returns an error, beginRead returns with r.d.mu read-locked: the caller
@@ -456,12 +435,7 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	d.mu.RLock()
 	endLock()
 	endCache := trace.Start(ctx, trace.StageCacheLookup)
-	for _, k := range keys {
-		if cached, ok := d.cache.get(k, d.gen); ok {
-			r.hit = cached
-			break
-		}
-	}
+	r.hit, _ = d.cache.get(d.gen, keys...)
 	endCache()
 	if r.hit != nil {
 		s.metrics.cacheHits.Add(1)
@@ -476,13 +450,8 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	}
 	s.metrics.cacheMisses.Add(1)
 	var ex *rdb.Explain
-	var fpBefore api.ExplainFastpath
-	_, primeBacked := d.lab.(*prime.Labeling)
 	if explain {
 		ex = &rdb.Explain{}
-		if primeBacked {
-			fpBefore = s.fastpathCounters()
-		}
 	}
 	endEval := trace.Start(ctx, trace.StageXPathEval)
 	rows, stats, err := d.table.ExecPathStringExplain(query, ex)
@@ -496,8 +465,8 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	}
 	r.rows = rows
 	// Every miss carries the planner summary (the query-stats registry
-	// attaches it to a shape's slowest call); step and fastpath detail only
-	// when the caller asked for explain.
+	// attaches it to a shape's slowest call); step detail only when the
+	// caller asked for explain.
 	r.profile = &api.QueryExplain{
 		Shape:        s.querystats.ShapeOf(query),
 		Backend:      d.lab.SchemeName(),
@@ -506,15 +475,6 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	}
 	if explain {
 		r.profile.Steps = explainSteps(ex)
-		if primeBacked {
-			after := s.fastpathCounters()
-			r.profile.Fastpath = &api.ExplainFastpath{
-				PrefilterRejects: after.PrefilterRejects - fpBefore.PrefilterRejects,
-				ExactU64:         after.ExactU64 - fpBefore.ExactU64,
-				ExactBig:         after.ExactBig - fpBefore.ExactBig,
-				ExactTrue:        after.ExactTrue - fpBefore.ExactTrue,
-			}
-		}
 	}
 	return r, nil
 }
@@ -673,7 +633,8 @@ func (d *document) applyOp(req api.UpdateRequest) (count int, touched *xmltree.N
 // consistent with it, patching the table in place when the op's effect is
 // localized enough to track: the prime scheme with order tracking inserts
 // exactly one new row (insert, wrap) or removes one subtree's rows (delete),
-// and the SC table's last-shift record says which ranks moved. When the op
+// and its order numbers keep following document order, so the table stays
+// ordered. When the op
 // cannot be patched — other schemes, order tracking off, a labeling error
 // that may have mutated state partway, or d.noPatch — patched is false and
 // the table no longer matches the labeling: the caller must rebuild it via
@@ -719,14 +680,7 @@ func (d *document) applyOpIndexed(req api.UpdateRequest) (count int, touched *xm
 		if !ok {
 			return count, touched, applied, false, nil
 		}
-		rank, rerr := pl.OrderOf(touched)
-		if rerr != nil {
-			return count, touched, applied, false, nil
-		}
-		// Order numbers are strictly increasing in document order, so the
-		// ranks the insertion shifted (order >= LastShift.From) are exactly
-		// the rows after the new one.
-		d.table.PatchInsert(pos, touched, rank, pl.SCTable().LastShift().Delta)
+		d.table.PatchInsert(pos, touched, 0, 0)
 		return count, touched, applied, true, nil
 	case api.OpDelete:
 		if delTarget == nil || delPos < 0 {
@@ -741,17 +695,14 @@ func (d *document) applyOpIndexed(req api.UpdateRequest) (count int, touched *xm
 }
 
 // finishOp completes one applied op's index maintenance under the write
-// lock: when the op was not patched in place the element table is rebuilt
-// (without warming — callers warm once at the end); in both cases the
-// generation advances — even for an op that failed after mutating state,
+// lock: when the op was not patched in place the element table is rebuilt;
+// in both cases the generation advances — even for an op that failed after mutating state,
 // so a half-applied mutation can never serve stale rows or stale node ids.
 // Advancing the generation is also what invalidates the query cache: its
 // entries are tagged with the generation they were computed at.
 func (d *document) finishOp(patched bool) {
 	if !patched {
-		old := d.table
-		d.table = rdb.Build(d.lab)
-		d.table.Plan = old.Plan
+		d.table = newTable(d.lab)
 	}
 	d.gen++
 }
@@ -767,7 +718,7 @@ func (s *Store) observeReindex(patched bool) {
 
 // Update applies one dynamic update under the document's write lock, then
 // reindexes — incrementally patching the element table when the op allows
-// it, rebuilding and re-warming otherwise — and advances the generation
+// it, rebuilding it otherwise — and advances the generation
 // (which is what invalidates cached query results). When the document is durable the record is
 // appended under the lock and made stable after it is released, so
 // concurrent updates to the same document coalesce onto one fsync (group
@@ -832,9 +783,6 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 	// labeling is in now.
 	endReindex := trace.Start(ctx, trace.StageReindex)
 	d.finishOp(patched)
-	if !patched {
-		d.table.Warm()
-	}
 	endReindex()
 	s.observeReindex(patched)
 	d.relabeled += uint64(count)
@@ -867,8 +815,7 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 const maxBatchOps = 1024
 
 // UpdateBatch applies a sequence of updates under one write-lock
-// acquisition with one reindex warm-up and — on a durable document — one
-// journal record and one group-committed fsync, instead of paying each of
+// acquisition with — on a durable document — one journal record and one group-committed fsync, instead of paying each of
 // those per op. Ops apply in order against the state the previous op left;
 // the batch stops at the first failure and earlier ops stay applied (the
 // response's Failed field reports the stopping index). Generation and
@@ -933,7 +880,6 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 	var (
 		ops       []persist.OpRecord
 		touched   []*xmltree.Node
-		needWarm  bool
 		succeeded int
 	)
 	endRelabel := trace.Start(ctx, trace.StageRelabel)
@@ -952,9 +898,6 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		}
 		d.finishOp(patched)
 		s.observeReindex(patched)
-		if !patched {
-			needWarm = true
-		}
 		d.relabeled += uint64(count)
 		resp.Relabeled += count
 		ops = append(ops, persist.OpRecord{Req: op, Count: count, Failed: opErr != nil})
@@ -972,11 +915,6 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		touched = append(touched, tn)
 	}
 	endRelabel()
-	endReindex := trace.Start(ctx, trace.StageReindex)
-	if needWarm {
-		d.table.Warm()
-	}
-	endReindex()
 
 	// Node ids are only meaningful in the final generation, so resolve them
 	// after the whole batch has applied.

@@ -248,7 +248,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 func TestQueryStreamFirstByteTrace(t *testing.T) {
 	st := NewStore(NewMetrics(), 0)
 	if _, err := st.Load(context.Background(), "bench", api.LoadRequest{
-		XML: deepXML(8, 20, 74), Planner: "extent", TrackOrder: true,
+		XML: deepXML(8, 20, 74), TrackOrder: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

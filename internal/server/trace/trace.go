@@ -44,7 +44,7 @@ const (
 	StageParse = "parse"
 	// StageLabel is initial labeling during a document load.
 	StageLabel = "label"
-	// StageIndex is element-table construction and warming.
+	// StageIndex is element-table construction (rdb.Build).
 	StageIndex = "index"
 	// StageRelabel is a dynamic update's labeling mutation — the paper's
 	// relabeling cost, as wall time.
