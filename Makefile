@@ -33,12 +33,15 @@ race:
 # fuzz seeds the journal frame scanner with 10s of random torn/corrupt
 # inputs on top of the checked-in corpus, then the streaming frame decoder
 # (the replication wire format) with the same treatment, the extent join
-# planner against the label oracle, and the SC table against fresh CRT
-# solves after every random insert, delete, compaction and restore.
+# planner against the label oracle, the element-table executor the library
+# and labeld share against the tree-walking XPath reference, and the SC
+# table against fresh CRT solves after every random insert, delete,
+# compaction and restore.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalFrames -fuzztime 10s ./internal/server/persist
 	$(GO) test -run '^$$' -fuzz FuzzStreamFrames -fuzztime 10s ./internal/server/persist
 	$(GO) test -run '^$$' -fuzz FuzzExtentJoinParity -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzEvalTreeParity -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz FuzzSCTable -fuzztime 10s ./internal/order
 
 # e2e-replica runs the two-node replication suite under the race detector:

@@ -20,7 +20,6 @@ import (
 	"primelabel/internal/rdb"
 	"primelabel/internal/sizemodel"
 	"primelabel/internal/xmltree"
-	"primelabel/internal/xpath"
 )
 
 // --- Figure 3: prime bit-length estimation ---
@@ -548,31 +547,4 @@ func BenchmarkAblationIntervalSlack(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- End-to-end: evaluator vs rdb plans on the same queries (sanity) ---
-
-func BenchmarkEvaluatorVsRDB(b *testing.B) {
-	doc := datasets.D8()
-	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true, ReservedPrimes: 16}}).Label(doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := xpath.New(lab)
-	tab := rdb.Build(lab)
-	const q = "//play//act[3]//line"
-	b.Run("evaluator", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.EvalString(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rdb-plan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tab.ExecPathString(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

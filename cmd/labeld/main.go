@@ -1,8 +1,8 @@
 // Command labeld serves labeled XML documents over HTTP/JSON: load a
-// document, ask ancestor/parent/order questions answered purely from labels,
-// evaluate XPath-subset queries, and apply dynamic updates (insert, wrap,
-// delete) that report the paper's cost metric — how many nodes were
-// relabeled. See README.md "Running the server" for the endpoint reference.
+// document, ask ancestor/parent/order questions, evaluate XPath-subset
+// queries — both answered from the document's element table — and apply
+// dynamic updates (insert, wrap, delete) that report the paper's cost
+// metric — how many nodes were relabeled. See README.md "Running the server" for the endpoint reference.
 //
 // Usage:
 //

@@ -9,19 +9,18 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+
+	"primelabel/internal/labeling/codec"
 )
 
 // Version is the repo's semantic version, bumped per release-worthy PR.
 const Version = "0.4.0"
 
 // Schemes lists every labeling scheme compiled into the binaries, in the
-// order the API documents them. It mirrors the switch in the server's
-// buildScheme and primelabel.Config; a scheme added there must be added
-// here so -version and labeld_build_info stay truthful.
-var Schemes = []string{
-	"prime", "prime-bottomup", "prime-decomposed",
-	"interval", "xrel", "prefix-1", "prefix-2", "dewey", "float", "compact",
-}
+// order the API documents them. It is read from the scheme registry that
+// labeld's loads and primelabel.Config construct schemes from, so -version
+// and labeld_build_info name exactly the schemes a load accepts.
+var Schemes = codec.SchemeNames()
 
 // GoVersion returns the Go toolchain version the binary was built with.
 func GoVersion() string { return runtime.Version() }

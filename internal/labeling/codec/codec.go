@@ -1,8 +1,10 @@
-// Package codec is the scheme-dispatching persistence layer for labeled
-// documents. It frames a stream with a magic header and a scheme tag, then
-// delegates to the owning package's Marshal/Unmarshal — prime, interval
-// (XISS and XRel), prefix (Prefix-1 and Prefix-2), Dewey, and float — so a
-// single Save/Load pair covers every serving scheme.
+// Package codec is the per-scheme dispatch for labeled documents. It holds
+// the scheme registry (name to constructor, see NewScheme) and the label
+// renderer (LabelString) that the library and labeld share, and the
+// persistence layer: it frames a stream with a magic header and a scheme
+// tag, then delegates to the owning package's Marshal/Unmarshal — prime,
+// interval (XISS and XRel), prefix (Prefix-1 and Prefix-2), Dewey, float
+// and compact — so a single Save/Load pair covers every serving scheme.
 //
 // Persistence exists because dynamic updates make allocation state
 // history-dependent in every scheme: the prime scheme's prime source and SC

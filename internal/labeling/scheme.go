@@ -73,10 +73,11 @@ type Labeling interface {
 
 // Orderer is an optional interface for labelings that can produce a
 // numeric document-order rank per node (the prime scheme's SC lookup, the
-// interval scheme's start value). Query evaluators use it to materialize
-// order numbers once per candidate list and then sort/filter on plain ints
-// — exactly the strategy Section 4.3 describes ("generate the order
-// numbers ... the nodes are sorted according to their order numbers").
+// interval scheme's start value). rdb.Build reads it once per element to
+// check that row order is document order, after which every order question
+// is an integer comparison — the strategy Section 4.3 describes ("generate
+// the order numbers ... the nodes are sorted according to their order
+// numbers").
 type Orderer interface {
 	// OrderOf returns a rank that increases in document order. Ranks need
 	// not be dense; only relative order matters.

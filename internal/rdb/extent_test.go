@@ -324,10 +324,10 @@ func TestExtentOrderAxesFailWithoutOrder(t *testing.T) {
 }
 
 // TestPatchStormExtents drives a randomized insert/wrap/delete storm
-// through the incremental patch path, holding the patched table to a fresh
-// Build via Diff after every op (which compares the depth and extent
-// columns row by row) and to the divisibility oracle on every axis at
-// regular intervals.
+// through the incremental patch path (Table.Patch), holding the patched
+// table to a fresh Build via Diff after every op (which compares the depth
+// and extent columns row by row) and to the divisibility oracle on every
+// axis at regular intervals.
 func TestPatchStormExtents(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<r>")
@@ -354,52 +354,33 @@ func TestPatchStormExtents(t *testing.T) {
 	}
 	for op := 0; op < 150; op++ {
 		elems := xmltree.Elements(doc.Root)
+		var n *xmltree.Node
+		removed := false
 		switch k := rng.Intn(10); {
 		case k < 6: // insert a fresh childless element
 			parent := elems[rng.Intn(len(elems))]
-			n := xmltree.NewElement(tags[rng.Intn(len(tags))])
+			n = xmltree.NewElement(tags[rng.Intn(len(tags))])
 			idx := rng.Intn(len(parent.Children) + 1)
 			if _, err := lab.InsertChildAt(parent, idx, n); err != nil {
 				t.Fatalf("op %d insert: %v", op, err)
 			}
-			pos, ok := tab.InsertPos(n)
-			if !ok {
-				t.Fatalf("op %d: InsertPos failed", op)
-			}
-			rank, err := lab.OrderOf(n)
-			if err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-			tab.PatchInsert(pos, n, rank, lab.SCTable().LastShift().Delta)
 		case k < 8: // wrap an existing subtree
 			target := elems[1+rng.Intn(len(elems)-1)] // never the root
-			pos, ok := tab.RowOf(target)
-			if !ok {
-				t.Fatalf("op %d: wrap target not in table", op)
-			}
-			w := xmltree.NewElement(tags[rng.Intn(len(tags))])
-			if _, err := lab.WrapNode(target, w); err != nil {
+			n = xmltree.NewElement(tags[rng.Intn(len(tags))])
+			if _, err := lab.WrapNode(target, n); err != nil {
 				t.Fatalf("op %d wrap: %v", op, err)
 			}
-			rank, err := lab.OrderOf(w)
-			if err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-			tab.PatchInsert(pos, w, rank, lab.SCTable().LastShift().Delta)
 		default: // delete a subtree, keeping the document from emptying out
 			if len(elems) < 12 {
 				continue
 			}
-			target := elems[1+rng.Intn(len(elems)-1)]
-			pos, ok := tab.RowOf(target)
-			if !ok {
-				t.Fatalf("op %d: delete target not in table", op)
-			}
-			removed := xmltree.Elements(target)
-			if err := lab.Delete(target); err != nil {
+			n, removed = elems[1+rng.Intn(len(elems)-1)], true
+			if err := lab.Delete(n); err != nil {
 				t.Fatalf("op %d delete: %v", op, err)
 			}
-			tab.PatchDelete(pos, removed)
+		}
+		if !tab.Patch(n, removed) {
+			t.Fatalf("op %d: Patch could not place the node", op)
 		}
 
 		ref := Build(lab)

@@ -45,8 +45,8 @@ const (
 // Table is the element relation: one row per element in document order.
 // Reads (Scan, the ExecPath family, the accessors) never write to the
 // table, so it is safe for any number of concurrent readers as soon as
-// Build returns, as long as the labeling is quiescent; PatchInsert and
-// PatchDelete need the caller's exclusive access.
+// Build returns, as long as the labeling is quiescent; Patch, PatchInsert
+// and PatchDelete need the caller's exclusive access.
 type Table struct {
 	// Plan selects the join algorithm (default NestedLoop).
 	Plan Planner
@@ -65,7 +65,7 @@ type Table struct {
 	// extent[i] the row of its last descendant (extent[i] == i for a leaf).
 	// a is a proper ancestor of b iff a < b && b <= extent[a]; the parent
 	// additionally satisfies depth[b] == depth[a]+1. Maintained by Build,
-	// PatchInsert and PatchDelete, and validated against rebuilds by Diff.
+	// Patch, and validated against rebuilds by Diff.
 	depth  []int
 	extent []int
 	// ordered records that Build found the labeling's order numbers
@@ -163,14 +163,22 @@ func lastElementDescendant(n *xmltree.Node) *xmltree.Node {
 	}
 }
 
-// InsertPos returns the row id a freshly inserted childless element will
-// occupy: the row of its preorder successor (found by walking next element
-// siblings up the ancestor chain), or Len() when the new node is the last
-// element in document order. n must be attached to the tree but absent from
-// the table, with every other element present. The second return is false
-// when the position cannot be determined (a detached node, or a successor
-// the table does not know) — callers fall back to a full rebuild.
+// InsertPos returns the row id a freshly inserted element will occupy: the
+// row of its preorder successor. For a wrapper that is its first element
+// child, whose place it took; for a childless element it is found by walking
+// next element siblings up the ancestor chain, or is Len() when the new node
+// is the last element in document order. n must be attached to the tree but
+// absent from the table, with every other element present. The second
+// return is false when the position cannot be determined (a detached node,
+// or a successor the table does not know) — callers fall back to a full
+// rebuild.
 func (t *Table) InsertPos(n *xmltree.Node) (int, bool) {
+	for _, c := range n.Children {
+		if c.Kind == xmltree.ElementNode {
+			row, ok := t.rowOf[c]
+			return row, ok
+		}
+	}
 	for cur := n; ; {
 		p := cur.Parent
 		if p == nil {
@@ -188,6 +196,36 @@ func (t *Table) InsertPos(n *xmltree.Node) (int, bool) {
 		}
 		cur = p
 	}
+}
+
+// Patch keeps the table in step with one structural update its labeling
+// has just applied, instead of a rebuild: n is the element the update
+// inserted — a fresh childless element, or a wrapper that took over one
+// subtree's place — or, with removed set, the root of the subtree it
+// deleted (detached from the tree, its own children intact). An insert
+// splices n in at InsertPos; a delete drops the contiguous rows of n's
+// subtree. Only the row columns and the tag index change; no label is
+// read, and the ordered fact carries over because neither op reorders
+// surviving nodes. So every scheme patches, and the result is the table
+// Build would produce over the updated labeling. Patch returns false,
+// leaving the table untouched, when it cannot place n (InsertPos fails, or
+// a removed node the table does not hold); the caller must then rebuild.
+// Callers hold the document's write lock.
+func (t *Table) Patch(n *xmltree.Node, removed bool) bool {
+	if removed {
+		pos, ok := t.rowOf[n]
+		sub := xmltree.Elements(n)
+		if !ok || pos+len(sub) > len(t.nodes) {
+			return false
+		}
+		t.PatchDelete(pos, sub)
+		return true
+	}
+	pos, ok := t.InsertPos(n)
+	if ok {
+		t.PatchInsert(pos, n, 0, 0)
+	}
+	return ok
 }
 
 // PatchInsert splices one freshly inserted element into the table at row
@@ -323,8 +361,8 @@ func (t *Table) PatchDelete(pos int, removed []*xmltree.Node) {
 // Diff compares t against a reference table over the same labeling and
 // returns the first discrepancy (nil when equivalent): row order, reverse
 // row lookup, the structural columns, the tag index and the ordered fact.
-// It exists to verify that the incremental patch path (PatchInsert,
-// PatchDelete) is indistinguishable from a fresh Build.
+// It exists to verify that the incremental patch path (Patch) is
+// indistinguishable from a fresh Build.
 func (t *Table) Diff(ref *Table) error {
 	if len(t.nodes) != len(ref.nodes) {
 		return fmt.Errorf("rdb diff: %d rows, reference has %d", len(t.nodes), len(ref.nodes))
@@ -523,9 +561,9 @@ func (t *Table) StackJoin(outer, inner RowSet) Pairs {
 	return t.stackMerge(outer, inner, t.labelContains(), false)
 }
 
-// ExecPath runs a full path query against the table with label-driven
-// joins, returning matching rows in document order. It implements the same
-// semantics as the xpath evaluators (verified against them in tests).
+// ExecPath runs a full path query against the table with the planner's
+// joins, returning matching rows in document order. It implements the
+// semantics of xpath.TreeEval (verified against it in tests).
 func (t *Table) ExecPath(q xpath.Query) (RowSet, error) {
 	rs, _, err := t.ExecPathStats(q)
 	return rs, err

@@ -14,9 +14,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
+	"primelabel/internal/server/trace"
 )
 
 // batchOps is the mixed op sequence both batch tests apply: inserts at both
@@ -167,15 +169,25 @@ func TestUpdateFailureCounters(t *testing.T) {
 
 // TestIncrementalReindexEquivalence drives a random op mix through the
 // incremental patch path and, after every op, diffs the patched table
-// against a fresh Build+Warm of the same labeling. A twin store with the
-// patch path disabled applies the same ops so response-level equivalence is
-// checked too.
+// against a fresh Build of the same labeling. A twin store with the patch
+// path disabled applies the same ops so response-level equivalence is
+// checked too. Every scheme patches: it runs for prime with order tracking
+// at dense and spaced order numbers, and for every probeSchemes
+// configuration, and no op may fall back to a full rebuild.
 func TestIncrementalReindexEquivalence(t *testing.T) {
-	for _, spacing := range []int{0, 8} {
-		t.Run(fmt.Sprintf("spacing=%d", spacing), func(t *testing.T) {
+	configs := []struct {
+		name string
+		req  api.LoadRequest
+	}{
+		{"spacing=0", api.LoadRequest{TrackOrder: true}},
+		{"spacing=8", api.LoadRequest{TrackOrder: true, OrderSpacing: 8}},
+	}
+	for _, sc := range append(configs, probeSchemes...) {
+		t.Run(sc.name, func(t *testing.T) {
 			patched := NewStore(NewMetrics(), 16)
 			full := NewStore(NewMetrics(), 16)
-			load := api.LoadRequest{XML: sampleXML, TrackOrder: true, OrderSpacing: spacing}
+			load := sc.req
+			load.XML = sampleXML
 			for _, st := range []*Store{patched, full} {
 				if _, err := st.Load(context.Background(), "doc", load); err != nil {
 					t.Fatal(err)
@@ -227,6 +239,50 @@ func TestIncrementalReindexEquivalence(t *testing.T) {
 				t.Errorf("noPatch store took the incremental path %d times", got)
 			}
 		})
+	}
+}
+
+// TestUpdateTracesSplitRelabelAndReindex holds single updates and batches
+// to one trace shape on a patching and on a noPatch document: exactly one
+// relabel span (the labeling mutations) and one reindex span (the table
+// patches or rebuilds), both non-zero. A batch books its per-op totals.
+func TestUpdateTracesSplitRelabelAndReindex(t *testing.T) {
+	st := NewStore(NewMetrics(), 16)
+	for _, noPatch := range []bool{false, true} {
+		name := fmt.Sprintf("doc-%v", noPatch)
+		loadTracked(t, st, name)
+		d, err := st.get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.noPatch = noPatch
+		stages := func(run func(ctx context.Context) error) map[string][]time.Duration {
+			t.Helper()
+			tr := trace.New("t", "update")
+			if err := run(trace.NewContext(context.Background(), tr)); err != nil {
+				t.Fatal(err)
+			}
+			out := map[string][]time.Duration{}
+			for _, sp := range tr.Spans() {
+				out[sp.Stage] = append(out[sp.Stage], sp.Duration)
+			}
+			return out
+		}
+		single := stages(func(ctx context.Context) error {
+			_, err := st.Update(ctx, name, api.UpdateRequest{Op: api.OpInsert, Parent: 1, Index: 1, Tag: "book"})
+			return err
+		})
+		batch := stages(func(ctx context.Context) error {
+			_, err := st.UpdateBatch(ctx, name, api.BatchUpdateRequest{Ops: batchOps()})
+			return err
+		})
+		for kind, got := range map[string]map[string][]time.Duration{"single": single, "batch": batch} {
+			for _, stage := range []string{trace.StageRelabel, trace.StageReindex} {
+				if len(got[stage]) != 1 || got[stage][0] <= 0 {
+					t.Errorf("noPatch=%v %s update: %s spans %v, want one non-zero span", noPatch, kind, stage, got[stage])
+				}
+			}
+		}
 	}
 }
 

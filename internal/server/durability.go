@@ -185,28 +185,26 @@ func (s *Store) compact(d *document) {
 }
 
 // replayRecord applies one journal record — a single update or a whole
-// batch — against d through the same applyOpIndexed path live updates use,
-// verifying the record's journaled outcome (per-op counts and failure
+// batch — against d through the same applyOp and reindex path live updates
+// use, verifying the record's journaled outcome (per-op counts and failure
 // flags, final generation and relabel totals) against what replay
 // produced. what names the record in error messages; base is the sentinel
 // a divergence wraps (persist.ErrCorrupt during crash recovery,
 // replica.ErrDiverged during live replication). patched=false means at
 // least one op rebuilt the element table instead of patching it. Callers
-// hold the
-// write lock (or own the unpublished document). On a divergence error the
-// document's state is partially mutated and must be discarded.
+// hold the write lock (or own the unpublished document). On a divergence
+// error the document's state is partially mutated and must be discarded.
 func (d *document) replayRecord(rec persist.Record, what string, base error) (patched bool, err error) {
 	allPatched := true
 	if len(rec.Ops) > 0 {
 		// A batch record: replay its ops in order, verifying each op's
 		// journaled outcome and the batch-final gen/relabeled totals.
 		for oi, op := range rec.Ops {
-			count, _, applied, opPatched, opErr := d.applyOpIndexed(op.Req)
+			count, n, applied, opErr := d.applyOp(op.Req)
 			if !applied {
 				return allPatched, fmt.Errorf("%w: %s op %d rejected on replay: %v", base, what, oi, opErr)
 			}
-			d.finishOp(opPatched)
-			if !opPatched {
+			if !d.reindex(op.Req, n, opErr) {
 				allPatched = false
 			}
 			d.relabeled += uint64(count)
@@ -221,12 +219,11 @@ func (d *document) replayRecord(rec persist.Record, what string, base error) (pa
 		}
 		return allPatched, nil
 	}
-	count, _, applied, opPatched, opErr := d.applyOpIndexed(rec.Req)
+	count, n, applied, opErr := d.applyOp(rec.Req)
 	if !applied {
 		return allPatched, fmt.Errorf("%w: %s rejected on replay: %v", base, what, opErr)
 	}
-	d.finishOp(opPatched)
-	if !opPatched {
+	if !d.reindex(rec.Req, n, opErr) {
 		allPatched = false
 	}
 	d.relabeled += uint64(count)
@@ -331,9 +328,9 @@ func (s *Store) Recover() ([]string, error) {
 
 // recoverOne restores a single document: load its snapshot, replay the
 // journal records past the snapshot's generation — single updates and
-// whole batches alike — through the same applyOpIndexed path live updates
-// use, verify each record's journaled outcome (gen, relabel counts, failure
-// flags) against what replay produced, then reopen the journal for
+// whole batches alike — through the same applyOp and reindex path live
+// updates use, verify each record's journaled outcome (gen, relabel counts,
+// failure flags) against what replay produced, then reopen the journal for
 // appending with any torn tail truncated.
 func (s *Store) recoverOne(name string) error {
 	meta, lab, err := s.persist.LoadSnapshot(name)

@@ -210,10 +210,10 @@ func (s *Store) InstallSnapshot(ctx context.Context, name string, image []byte) 
 
 // ApplyRecord replays one replicated journal record against the local copy,
 // implementing replica.Target. The record goes through the exact machinery
-// recovery replay uses — applyOpIndexed plus outcome verification — and is
-// then appended to the follower's own journal (group-committed like a live
-// update), which is what makes the follower's disk self-sufficient and
-// chained replication possible. A record at or below the local generation
+// recovery replay uses — applyOp and reindex plus outcome verification —
+// and is then appended to the follower's own journal (group-committed like
+// a live update), which is what makes the follower's disk self-sufficient
+// and chained replication possible. A record at or below the local generation
 // is a duplicate from a stream overlap and is skipped; a gap or an outcome
 // mismatch is replica.ErrDiverged, after which the local copy must be
 // dropped and re-synced.

@@ -30,10 +30,6 @@ import (
 
 	"primelabel/internal/labeling"
 	"primelabel/internal/labeling/codec"
-	"primelabel/internal/labeling/compact"
-	"primelabel/internal/labeling/floatlab"
-	"primelabel/internal/labeling/interval"
-	"primelabel/internal/labeling/prefix"
 	"primelabel/internal/labeling/prime"
 	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
@@ -136,11 +132,12 @@ func (s *Store) SetLogger(l *slog.Logger) {
 	s.logger = l
 }
 
-// buildScheme materializes the labeling scheme a load request asks for.
+// buildScheme materializes the labeling scheme a load request asks for
+// from the scheme registry. The request carries no layer height, so
+// prime-decomposed gets its default.
 func buildScheme(req api.LoadRequest) (labeling.Scheme, error) {
-	switch req.Scheme {
-	case "", "prime":
-		return prime.Scheme{Opts: prime.Options{
+	s, ok := codec.NewScheme(req.Scheme, codec.Options{
+		Prime: prime.Options{
 			ReservedPrimes:   req.ReservedPrimes,
 			PowerOfTwoLeaves: req.PowerOfTwoLeaves,
 			Power2Threshold:  req.Power2Threshold,
@@ -148,28 +145,13 @@ func buildScheme(req api.LoadRequest) (labeling.Scheme, error) {
 			SCChunk:          req.SCChunk,
 			OrderSpacing:     req.OrderSpacing,
 			RecyclePrimes:    req.RecyclePrimes,
-		}}, nil
-	case "prime-bottomup":
-		return prime.BottomUpScheme{}, nil
-	case "prime-decomposed":
-		return prime.DecomposedScheme{}, nil
-	case "interval":
-		return interval.Scheme{Variant: interval.XISS}, nil
-	case "xrel":
-		return interval.Scheme{Variant: interval.XRel}, nil
-	case "prefix-1":
-		return prefix.Scheme{Variant: prefix.Prefix1, OrderPreserving: req.OrderPreserving}, nil
-	case "prefix-2":
-		return prefix.Scheme{Variant: prefix.Prefix2, OrderPreserving: req.OrderPreserving}, nil
-	case "dewey":
-		return prefix.DeweyScheme{}, nil
-	case "float":
-		return floatlab.Scheme{}, nil
-	case "compact":
-		return compact.Scheme{}, nil
-	default:
+		},
+		OrderPreserving: req.OrderPreserving,
+	})
+	if !ok {
 		return nil, fmt.Errorf("%w: unknown scheme %q", ErrBadRequest, req.Scheme)
 	}
+	return s, nil
 }
 
 // newTable builds the element table labeld serves a labeling through, on
@@ -508,7 +490,7 @@ func (d *document) nodeRefs(rows rdb.RowSet) []api.NodeRef {
 		out[i] = api.NodeRef{
 			ID:    id,
 			Path:  xmltree.PathTo(n),
-			Label: labelString(d.lab, n),
+			Label: codec.LabelString(d.lab, n),
 			Text:  n.Text(),
 		}
 	}
@@ -584,14 +566,15 @@ func (s *Store) Relation(ctx context.Context, name string, req api.RelationReque
 }
 
 // applyOp performs one update's mutation against the labeling. It returns
-// the relabel count, the touched node (inserted element or wrapper, nil for
-// delete), whether the operation reached the labeling (validation failures
-// do not, and must not be journaled), and the labeling error if any. A
-// labeling error with applied=true means state may have mutated partway —
-// the caller must still reindex. Callers hold the write lock. Replay during
-// recovery runs the same code path, which is what makes journal replay
-// reproduce live behavior exactly.
-func (d *document) applyOp(req api.UpdateRequest) (count int, touched *xmltree.Node, applied bool, err error) {
+// the relabel count, the node the op placed or removed (the inserted
+// element or wrapper; the deleted subtree's root), whether the operation
+// reached the labeling (validation failures do not, and must not be
+// journaled), and the labeling error if any. A labeling error with
+// applied=true means state may have mutated partway — the caller must still
+// reindex. Callers hold the write lock. Replay during recovery runs the
+// same code path, which is what makes journal replay reproduce live
+// behavior exactly.
+func (d *document) applyOp(req api.UpdateRequest) (count int, n *xmltree.Node, applied bool, err error) {
 	switch req.Op {
 	case api.OpInsert:
 		if req.Tag == "" {
@@ -604,9 +587,9 @@ func (d *document) applyOp(req api.UpdateRequest) (count int, touched *xmltree.N
 		if req.Index < 0 {
 			return 0, nil, false, fmt.Errorf("%w: negative index", ErrBadRequest)
 		}
-		touched = xmltree.NewElement(req.Tag)
-		count, err = d.lab.InsertChildAt(parent, rawChildIndex(parent, req.Index), touched)
-		return count, touched, true, err
+		n = xmltree.NewElement(req.Tag)
+		count, err = d.lab.InsertChildAt(parent, parent.RawChildIndex(req.Index), n)
+		return count, n, true, err
 	case api.OpWrap:
 		if req.Tag == "" {
 			return 0, nil, false, fmt.Errorf("%w: wrap needs a tag", ErrBadRequest)
@@ -615,96 +598,37 @@ func (d *document) applyOp(req api.UpdateRequest) (count int, touched *xmltree.N
 		if nerr != nil {
 			return 0, nil, false, nerr
 		}
-		touched = xmltree.NewElement(req.Tag)
-		count, err = d.lab.WrapNode(target, touched)
-		return count, touched, true, err
+		n = xmltree.NewElement(req.Tag)
+		count, err = d.lab.WrapNode(target, n)
+		return count, n, true, err
 	case api.OpDelete:
 		target, nerr := d.node(req.Target)
 		if nerr != nil {
 			return 0, nil, false, nerr
 		}
-		return 0, nil, true, d.lab.Delete(target)
+		return 0, target, true, d.lab.Delete(target)
 	default:
 		return 0, nil, false, fmt.Errorf("%w: unknown op %q", ErrBadRequest, req.Op)
 	}
 }
 
-// applyOpIndexed performs one update's mutation and keeps the element table
-// consistent with it, patching the table in place when the op's effect is
-// localized enough to track: the prime scheme with order tracking inserts
-// exactly one new row (insert, wrap) or removes one subtree's rows (delete),
-// and its order numbers keep following document order, so the table stays
-// ordered. When the op
-// cannot be patched — other schemes, order tracking off, a labeling error
-// that may have mutated state partway, or d.noPatch — patched is false and
-// the table no longer matches the labeling: the caller must rebuild it via
-// finishOp. Callers hold the write lock. Both live updates and recovery
-// replay run this path, which is what keeps replay equivalent to live
-// behavior.
-func (d *document) applyOpIndexed(req api.UpdateRequest) (count int, touched *xmltree.Node, applied, patched bool, err error) {
-	pl, _ := d.lab.(*prime.Labeling)
-	canPatch := pl != nil && pl.SCTable() != nil && !d.noPatch
-
-	// A delete's target row and subtree must be captured before the
-	// mutation detaches the target from the tree.
-	var delTarget *xmltree.Node
-	delPos := -1
-	if canPatch && req.Op == api.OpDelete {
-		if n, nerr := d.node(req.Target); nerr == nil {
-			delTarget = n
-			if p, ok := d.table.RowOf(n); ok {
-				delPos = p
-			}
-		}
-	}
-
-	count, touched, applied, err = d.applyOp(req)
-	if !applied || err != nil || !canPatch {
-		return count, touched, applied, false, err
-	}
-
-	switch req.Op {
-	case api.OpInsert, api.OpWrap:
-		var pos int
-		var ok bool
-		if req.Op == api.OpWrap {
-			// The wrapper took over its target's place in document order:
-			// it goes in the target's old row, pushing the target (now its
-			// only element child) and everything after down by one.
-			if t, nerr := d.node(req.Target); nerr == nil {
-				pos, ok = d.table.RowOf(t)
-			}
-		} else {
-			pos, ok = d.table.InsertPos(touched)
-		}
-		if !ok {
-			return count, touched, applied, false, nil
-		}
-		d.table.PatchInsert(pos, touched, 0, 0)
-		return count, touched, applied, true, nil
-	case api.OpDelete:
-		if delTarget == nil || delPos < 0 {
-			return count, touched, applied, false, nil
-		}
-		// Deleting never renumbers surviving nodes, so dropping the
-		// subtree's rows is the whole patch.
-		d.table.PatchDelete(delPos, xmltree.Elements(delTarget))
-		return count, touched, applied, true, nil
-	}
-	return count, touched, applied, false, nil
-}
-
-// finishOp completes one applied op's index maintenance under the write
-// lock: when the op was not patched in place the element table is rebuilt;
-// in both cases the generation advances — even for an op that failed after mutating state,
-// so a half-applied mutation can never serve stale rows or stale node ids.
-// Advancing the generation is also what invalidates the query cache: its
-// entries are tagged with the generation they were computed at.
-func (d *document) finishOp(patched bool) {
+// reindex completes one applied op's index maintenance under the write
+// lock. It patches the element table in place (rdb.Table.Patch) for every
+// scheme, and rebuilds it from the labeling only when the labeling returned
+// opErr — state may have mutated partway — or the patch cannot place n, or
+// d.noPatch is set. In both cases the generation advances — even for an op
+// that failed after mutating state, so a half-applied mutation can never
+// serve stale rows or stale node ids. Advancing the generation is also what
+// invalidates the query cache: its entries are tagged with the generation
+// they were computed at. Live updates, batches, recovery replay and replica
+// apply all run applyOp then reindex.
+func (d *document) reindex(req api.UpdateRequest, n *xmltree.Node, opErr error) (patched bool) {
+	patched = opErr == nil && !d.noPatch && d.table.Patch(n, req.Op == api.OpDelete)
 	if !patched {
 		d.table = newTable(d.lab)
 	}
 	d.gen++
+	return patched
 }
 
 // observeReindex records which reindex path an applied op took.
@@ -773,7 +697,7 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 	}
 
 	endRelabel := trace.Start(ctx, trace.StageRelabel)
-	count, touched, applied, patched, opErr := d.applyOpIndexed(req)
+	count, n, applied, opErr := d.applyOp(req)
 	endRelabel()
 	if !applied {
 		return api.UpdateResponse{}, nil, opErr
@@ -782,7 +706,7 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 	// Reindex unconditionally: the table must reflect whatever state the
 	// labeling is in now.
 	endReindex := trace.Start(ctx, trace.StageReindex)
-	d.finishOp(patched)
+	patched := d.reindex(req, n, opErr)
 	endReindex()
 	s.observeReindex(patched)
 	d.relabeled += uint64(count)
@@ -800,11 +724,10 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 	if opErr != nil {
 		return api.UpdateResponse{}, commit, fmt.Errorf("%w: %v", ErrBadRequest, opErr)
 	}
+	// A deleted node has no row, so a delete reports node -1.
 	nodeID := -1
-	if touched != nil {
-		if id, ok := d.table.RowOf(touched); ok {
-			nodeID = id
-		}
+	if id, ok := d.table.RowOf(n); ok {
+		nodeID = id
 	}
 	return api.UpdateResponse{Generation: d.gen, Relabeled: count, Node: nodeID}, commit, nil
 }
@@ -881,22 +804,32 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		ops       []persist.OpRecord
 		touched   []*xmltree.Node
 		succeeded int
+		// relabel and reindex total the batch's per-op labeling mutations
+		// and table patches or rebuilds, booked as one span each.
+		relabel, reindex time.Duration
 	)
-	endRelabel := trace.Start(ctx, trace.StageRelabel)
+	observe := func() {
+		trace.Observe(ctx, trace.StageRelabel, relabel)
+		trace.Observe(ctx, trace.StageReindex, reindex)
+	}
 	for i, op := range req.Ops {
-		count, tn, applied, patched, opErr := d.applyOpIndexed(op)
+		start := time.Now()
+		count, n, applied, opErr := d.applyOp(op)
+		applyEnd := time.Now()
+		relabel += applyEnd.Sub(start)
 		if !applied {
 			if i == 0 {
 				// Nothing in the batch touched the document; fail the
 				// request outright, exactly like a single update would.
-				endRelabel()
+				observe()
 				return api.BatchUpdateResponse{}, nil, 0, opErr
 			}
 			resp.Failed = i
 			resp.Results = append(resp.Results, api.BatchOpResult{Node: -1, Error: opErr.Error()})
 			break
 		}
-		d.finishOp(patched)
+		patched := d.reindex(op, n, opErr)
+		reindex += time.Since(applyEnd)
 		s.observeReindex(patched)
 		d.relabeled += uint64(count)
 		resp.Relabeled += count
@@ -912,17 +845,14 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		}
 		succeeded++
 		resp.Results = append(resp.Results, res)
-		touched = append(touched, tn)
+		touched = append(touched, n)
 	}
-	endRelabel()
+	observe()
 
 	// Node ids are only meaningful in the final generation, so resolve them
-	// after the whole batch has applied.
-	for i, tn := range touched {
-		if tn == nil {
-			continue
-		}
-		if id, ok := d.table.RowOf(tn); ok {
+	// after the whole batch has applied. A deleted node has no row.
+	for i, n := range touched {
+		if id, ok := d.table.RowOf(n); ok {
 			resp.Results[i].Node = id
 		}
 	}
@@ -938,75 +868,4 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		}
 	}
 	return resp, commit, succeeded, nil
-}
-
-// rawChildIndex maps an index among element children to an index among all
-// children (text nodes interleave).
-func rawChildIndex(parent *xmltree.Node, elemIdx int) int {
-	if elemIdx <= 0 {
-		return 0
-	}
-	seen := 0
-	for i, c := range parent.Children {
-		if c.Kind != xmltree.ElementNode {
-			continue
-		}
-		seen++
-		if seen == elemIdx {
-			return i + 1
-		}
-	}
-	return len(parent.Children)
-}
-
-// labelString renders a node's label in scheme-specific human-readable
-// form, mirroring primelabel.Document.Label.
-func labelString(lab labeling.Labeling, n *xmltree.Node) string {
-	switch l := lab.(type) {
-	case *prime.Labeling:
-		return l.LabelOf(n).String()
-	case *prime.BottomUpLabeling:
-		return l.LabelOf(n).String()
-	case *prime.DecomposedLabeling:
-		parts := []string{}
-		for _, e := range l.ChainOf(n) {
-			parts = append(parts, e.String())
-		}
-		return strings.Join(parts, ".")
-	case *interval.Labeling:
-		a, b, ok := l.Interval(n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%d,%d)", a, b)
-	case *prefix.Labeling:
-		bits, ok := l.BitsOf(n)
-		if !ok {
-			return ""
-		}
-		if bits.Len() == 0 {
-			return "ε"
-		}
-		return bits.String()
-	case *prefix.DeweyLabeling:
-		s, _ := l.DeweyOf(n)
-		if s == "" {
-			return "ε"
-		}
-		return s
-	case *floatlab.Labeling:
-		a, b, ok := l.Interval(n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%g,%g)", a, b)
-	case *compact.Labeling:
-		cl, ok := l.LabelOf(n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%d,%d)", cl.Start, cl.End)
-	default:
-		return fmt.Sprintf("<%d bits>", lab.LabelBits(n))
-	}
 }

@@ -49,7 +49,8 @@ const (
 	// StageRelabel is a dynamic update's labeling mutation — the paper's
 	// relabeling cost, as wall time.
 	StageRelabel = "relabel"
-	// StageReindex is the post-update table rebuild and cache clear.
+	// StageReindex is the post-update element-table patch, or the table's
+	// rebuild after a labeling error.
 	StageReindex = "reindex"
 	// StageCodecEncode is labeling-state serialization inside a snapshot.
 	StageCodecEncode = "codec_encode"

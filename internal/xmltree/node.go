@@ -123,6 +123,27 @@ func (n *Node) ChildIndex(c *Node) int {
 	return -1
 }
 
+// RawChildIndex maps a position among n's element children to a position
+// among all its children (text nodes interleave): an element inserted there
+// lands right after the elemIdx-th element child — first for elemIdx <= 0,
+// last when n has fewer element children.
+func (n *Node) RawChildIndex(elemIdx int) int {
+	if elemIdx <= 0 {
+		return 0
+	}
+	seen := 0
+	for i, c := range n.Children {
+		if c.Kind != ElementNode {
+			continue
+		}
+		seen++
+		if seen == elemIdx {
+			return i + 1
+		}
+	}
+	return len(n.Children)
+}
+
 // Depth returns the number of edges from n up to the root (root depth 0).
 func (n *Node) Depth() int {
 	d := 0

@@ -317,6 +317,19 @@ func TestIsLeafWithTextOnly(t *testing.T) {
 	}
 }
 
+func TestRawChildIndex(t *testing.T) {
+	// Children: text, a, text, b, c.
+	n := NewElement("e")
+	for _, c := range []*Node{NewText("x"), NewElement("a"), NewText("y"), NewElement("b"), NewElement("c")} {
+		_ = n.AppendChild(c)
+	}
+	for elemIdx, want := range map[int]int{-1: 0, 0: 0, 1: 2, 2: 4, 3: 5, 9: 5} {
+		if got := n.RawChildIndex(elemIdx); got != want {
+			t.Errorf("RawChildIndex(%d) = %d, want %d", elemIdx, got, want)
+		}
+	}
+}
+
 func TestSerializeCompact(t *testing.T) {
 	doc, _ := buildSample(t)
 	want := "<paper><title/><authors><author>Tom</author><author>John</author></authors></paper>"

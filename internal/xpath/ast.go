@@ -3,11 +3,10 @@
 // predicates, and the four order-sensitive axes following, preceding,
 // following-sibling and preceding-sibling (Section 4).
 //
-// Queries are evaluated over a labeled document: every structural decision
-// — ancestorship, parenthood, document order — is answered from node labels
-// through the labeling.Labeling interface, exactly the way the paper's
-// schemes are meant to be used. A tree-walking evaluator with identical
-// semantics serves as ground truth in tests.
+// The package holds the parser, the AST and TreeEval, a tree-walking
+// evaluator that defines the fragment's semantics. Queries over a labeled
+// document run on its element table (internal/rdb), the executor the
+// library and labeld share; tests hold that executor to TreeEval.
 package xpath
 
 import (

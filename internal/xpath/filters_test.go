@@ -2,18 +2,7 @@ package xpath
 
 import (
 	"testing"
-
-	"primelabel/internal/labeling/interval"
-	"primelabel/internal/labeling/prime"
-	"primelabel/internal/xmlparse"
 )
-
-const storeXML = `<store>
-  <book id="b1" lang="en"><title>Dune</title></book>
-  <book id="b2"><title>Dune</title></book>
-  <book id="b3" lang="de"><title>Faust</title></book>
-  <cd id="c1" lang="en"><title>Kind of Blue</title></cd>
-</store>`
 
 func TestParseFilters(t *testing.T) {
 	cases := []struct {
@@ -47,78 +36,6 @@ func TestParseFilterErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
-		}
-	}
-}
-
-func TestFilterEvaluation(t *testing.T) {
-	doc, err := xmlparse.ParseString(storeXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		query string
-		want  int
-	}{
-		{`//book[@id='b2']`, 1},
-		{`//book[@lang]`, 2},
-		{`//book[@lang='en']`, 1},
-		{`//book[@lang='fr']`, 0},
-		{`//*[@lang='en']`, 2},
-		{`//title[text()='Dune']`, 2},
-		{`//book/title[text()='Dune']`, 2},
-		{`//book[@lang][1]`, 1},
-		{`//book[@lang][2]`, 1},
-		{`//book[@lang][3]`, 0},
-		{`//title[text()='Dune']//following::title`, 3},
-		{`//book[@id='b1']//following-sibling::book`, 2},
-		{`/store[@missing]`, 0},
-	}
-	// Reference evaluator first.
-	for _, c := range cases {
-		got, err := TreeEvalString(doc, c.query)
-		if err != nil {
-			t.Fatalf("tree %s: %v", c.query, err)
-		}
-		if len(got) != c.want {
-			t.Errorf("TreeEval(%s) = %d nodes, want %d", c.query, len(got), c.want)
-		}
-	}
-	// Label-driven evaluators must agree.
-	primeLab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(doc.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ivLab, err := (interval.Scheme{Variant: interval.XISS}).Label(doc.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lab := range []struct {
-		name string
-		ev   *Evaluator
-	}{
-		{"prime", New(primeLab)},
-		{"interval", New(ivLab)},
-	} {
-		for _, c := range cases {
-			want, err := TreeEvalString(lab.ev.doc, c.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := lab.ev.EvalString(c.query)
-			if err != nil {
-				t.Fatalf("%s %s: %v", lab.name, c.query, err)
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s %s: %d nodes, want %d", lab.name, c.query, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s %s: node %d differs", lab.name, c.query, i)
-					break
-				}
-			}
 		}
 	}
 }

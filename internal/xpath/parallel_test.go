@@ -1,4 +1,4 @@
-package xpath
+package xpath_test
 
 import (
 	"fmt"
@@ -7,7 +7,8 @@ import (
 	"testing"
 
 	"primelabel/internal/labeling/prime"
-	"primelabel/internal/xmltree"
+	"primelabel/internal/rdb"
+	"primelabel/internal/xpath"
 )
 
 // axisQueries exercises every supported axis at least once, including
@@ -28,14 +29,14 @@ var axisQueries = []string{
 	"/play//bogus",                      // empty result
 }
 
-// parallelReaders is how many goroutines query one warmed evaluator at
-// once in the tests below.
+// parallelReaders is how many goroutines query one table at once in the
+// tests below.
 const parallelReaders = 4
 
-// evalConcurrently runs every query on ev from parallelReaders goroutines
+// execConcurrently runs every query on tab from parallelReaders goroutines
 // at once and returns, per query, each reader's result rendered with
 // fmt.Sprint (or the error text).
-func evalConcurrently(ev *Evaluator, queries []string) [][]string {
+func execConcurrently(tab *rdb.Table, queries []string) [][]string {
 	got := make([][]string, len(queries))
 	for i := range got {
 		got[i] = make([]string, parallelReaders)
@@ -46,7 +47,7 @@ func evalConcurrently(ev *Evaluator, queries []string) [][]string {
 		go func(r int) {
 			defer wg.Done()
 			for i, q := range queries {
-				ns, err := ev.EvalString(q)
+				ns, err := exec(tab, q)
 				if err != nil {
 					got[i][r] = "error: " + err.Error()
 					continue
@@ -59,11 +60,11 @@ func evalConcurrently(ev *Evaluator, queries []string) [][]string {
 	return got
 }
 
-// TestParallelParityAllAxes checks that a warmed evaluator queried from
-// several goroutines at once returns node-for-node the sequential
-// reference TreeEval's answer — for every axis and every labeling scheme.
-// Under -race it also checks Warm's promise that evaluation then performs
-// no internal writes.
+// TestParallelParityAllAxes checks that a table straight from Build,
+// queried from several goroutines at once, returns node for node the
+// reference TreeEval's answer — for every axis, every labeling scheme and
+// both planners. Under -race it also checks that no read writes to the
+// table.
 func TestParallelParityAllAxes(t *testing.T) {
 	for name, s := range schemes() {
 		doc := fixture(t)
@@ -71,17 +72,17 @@ func TestParallelParityAllAxes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := New(lab)
-		ev.Warm()
-		got := evalConcurrently(ev, axisQueries)
-		for i, q := range axisQueries {
-			want, err := TreeEvalString(doc, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, g := range got[i] {
-				if g != fmt.Sprint(want) {
-					t.Errorf("%s %s: reader %d got %s, want %d reference nodes", name, q, r, g, len(want))
+		for _, pl := range planners {
+			got := execConcurrently(newTable(lab, pl.plan), axisQueries)
+			for i, q := range axisQueries {
+				want, err := xpath.TreeEvalString(doc, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, g := range got[i] {
+					if g != fmt.Sprint(want) {
+						t.Errorf("%s %s %s: reader %d got %s, want %d reference nodes", name, pl.name, q, r, g, len(want))
+					}
 				}
 			}
 		}
@@ -89,46 +90,35 @@ func TestParallelParityAllAxes(t *testing.T) {
 }
 
 // TestParallelParityRandomDocs repeats the concurrent-reader check on
-// random trees, against both the tree reference and an unwarmed evaluator
-// over the same labeling.
+// random trees, holding the extent table's concurrent readers to both the
+// tree reference and a sequential nested-loop table over the same labeling.
 func TestParallelParityRandomDocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
-	tags := []string{"a", "b", "c"}
 	queries := []string{
 		"/r//a", "//a/b", "//a//c", "//b//following::a",
 		"//c//preceding::b", "//a//following-sibling::a",
 		"//b//preceding-sibling::c", "//a[2]//b[1]", "//*",
 	}
 	for trial := 0; trial < 5; trial++ {
-		root := xmltree.NewElement("r")
-		nodes := []*xmltree.Node{root}
-		for i := 1; i < 300; i++ {
-			p := nodes[rng.Intn(len(nodes))]
-			c := xmltree.NewElement(tags[rng.Intn(len(tags))])
-			_ = p.AppendChild(c)
-			nodes = append(nodes, c)
-		}
-		doc := xmltree.NewDocument(root)
+		doc := randTree(rng, 300)
 		lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := New(lab)
-		warm := New(lab)
-		warm.Warm()
-		got := evalConcurrently(warm, queries)
+		seq := newTable(lab, rdb.NestedLoop)
+		got := execConcurrently(newTable(lab, rdb.Extent), queries)
 		for i, q := range queries {
-			ref, err := TreeEvalString(doc, q)
+			ref, err := xpath.TreeEvalString(doc, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := cold.EvalString(q)
+			ns, err := exec(seq, q)
 			if err != nil {
-				t.Fatalf("cold %s: %v", q, err)
+				t.Fatalf("nested loop %s: %v", q, err)
 			}
-			if fmt.Sprint(seq) != fmt.Sprint(ref) {
-				t.Fatalf("trial %d %s: unwarmed evaluator disagrees with reference (%d/%d nodes)",
-					trial, q, len(seq), len(ref))
+			if fmt.Sprint(ns) != fmt.Sprint(ref) {
+				t.Fatalf("trial %d %s: nested-loop table disagrees with reference (%d/%d nodes)",
+					trial, q, len(ns), len(ref))
 			}
 			for r, g := range got[i] {
 				if g != fmt.Sprint(ref) {

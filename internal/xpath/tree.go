@@ -7,8 +7,8 @@ import (
 )
 
 // TreeEval evaluates a query by walking the tree with parent pointers — no
-// labels involved. It defines the reference semantics the label-driven
-// Evaluator is tested against.
+// labels involved. It defines the reference semantics the element-table
+// executor (internal/rdb) is tested against.
 func TreeEval(doc *xmltree.Document, q Query) ([]*xmltree.Node, error) {
 	if len(q.Steps) == 0 {
 		return nil, fmt.Errorf("xpath: empty query")

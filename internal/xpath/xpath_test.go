@@ -1,15 +1,7 @@
 package xpath
 
 import (
-	"math/rand"
 	"testing"
-
-	"primelabel/internal/datasets"
-	"primelabel/internal/labeling"
-	"primelabel/internal/labeling/interval"
-	"primelabel/internal/labeling/prefix"
-	"primelabel/internal/labeling/prime"
-	"primelabel/internal/xmltree"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -47,230 +39,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
-	}
-}
-
-// fixture builds a small play document:
-//
-//	play
-//	├── title
-//	├── act (1)
-//	│   ├── scene ├ speech ├ speaker, line, line
-//	│   └── scene └ speech └ speaker, line
-//	└── act (2)
-//	    └── scene └ speech └ speaker, line, line, line
-func fixture(t *testing.T) *xmltree.Document {
-	t.Helper()
-	mk := func(name string, kids ...*xmltree.Node) *xmltree.Node {
-		n := xmltree.NewElement(name)
-		for _, k := range kids {
-			if err := n.AppendChild(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return n
-	}
-	doc := xmltree.NewDocument(mk("play",
-		mk("title"),
-		mk("act",
-			mk("scene", mk("speech", mk("speaker"), mk("line"), mk("line"))),
-			mk("scene", mk("speech", mk("speaker"), mk("line"))),
-		),
-		mk("act",
-			mk("scene", mk("speech", mk("speaker"), mk("line"), mk("line"), mk("line"))),
-		),
-	))
-	return doc
-}
-
-func schemes() map[string]labeling.Scheme {
-	return map[string]labeling.Scheme{
-		"prime":    prime.Scheme{Opts: prime.Options{TrackOrder: true}},
-		"prime+o2": prime.Scheme{Opts: prime.Options{TrackOrder: true, PowerOfTwoLeaves: true, ReservedPrimes: 4}},
-		"interval": interval.Scheme{Variant: interval.XISS},
-		"xrel":     interval.Scheme{Variant: interval.XRel},
-		"prefix2":  prefix.Scheme{Variant: prefix.Prefix2, OrderPreserving: true},
-		"dewey":    prefix.DeweyScheme{},
-	}
-}
-
-var fixtureQueries = []struct {
-	query string
-	count int
-}{
-	{"/play", 1},
-	{"/play/act", 2},
-	{"/play//line", 6},
-	{"/play//act[2]//line", 3},
-	{"//speech", 3},
-	{"//scene[1]/speech", 1},
-	{"/play/act[1]/scene[2]//line", 1},
-	{"//act[1]//following::line", 3},
-	{"//line[1]//preceding::speaker", 0}, // first line has no speaker before it? speaker precedes line!
-	{"//act//following-sibling::act", 1},
-	{"//scene//preceding-sibling::scene", 1},
-	{"//title//following::speech", 3},
-	{"/play//bogus", 0},
-	{"/wrongroot", 0},
-	{"//*", 19},
-	{"/play/*", 3},
-}
-
-func TestFixtureCountsTreeEval(t *testing.T) {
-	doc := fixture(t)
-	// First validate the expected counts against the reference evaluator,
-	// fixing the one placeholder above.
-	got, err := TreeEvalString(doc, "//line[1]//preceding::speaker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("reference count for preceding::speaker = %d", len(got))
-	}
-	for _, q := range fixtureQueries {
-		if q.query == "//line[1]//preceding::speaker" {
-			continue
-		}
-		ns, err := TreeEvalString(doc, q.query)
-		if err != nil {
-			t.Fatalf("%s: %v", q.query, err)
-		}
-		if len(ns) != q.count {
-			t.Errorf("TreeEval(%s) = %d nodes, want %d", q.query, len(ns), q.count)
-		}
-	}
-}
-
-func TestLabelEvalMatchesTreeEvalOnFixture(t *testing.T) {
-	for name, s := range schemes() {
-		doc := fixture(t)
-		lab, err := s.Label(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := New(lab)
-		for _, q := range fixtureQueries {
-			want, err := TreeEvalString(doc, q.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ev.EvalString(q.query)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, q.query, err)
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s %s: %d nodes, want %d", name, q.query, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s %s: result %d differs", name, q.query, i)
-					break
-				}
-			}
-		}
-	}
-}
-
-// Property test: on random documents, every scheme's evaluator agrees with
-// the reference for a battery of generated queries.
-func TestPropertyEvalAgreesOnRandomDocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(111))
-	tags := []string{"a", "b", "c"}
-	randTree := func(n int) *xmltree.Document {
-		root := xmltree.NewElement("r")
-		nodes := []*xmltree.Node{root}
-		for i := 1; i < n; i++ {
-			p := nodes[rng.Intn(len(nodes))]
-			c := xmltree.NewElement(tags[rng.Intn(len(tags))])
-			_ = p.AppendChild(c)
-			nodes = append(nodes, c)
-		}
-		return xmltree.NewDocument(root)
-	}
-	queries := []string{
-		"/r//a", "/r//b[2]", "//a/b", "//a//c", "//b//following::a",
-		"//c//preceding::b", "//a//following-sibling::a", "//b//preceding-sibling::c",
-		"//a[1]//b[1]", "/r/*", "//*[3]",
-	}
-	for trial := 0; trial < 8; trial++ {
-		doc := randTree(60)
-		for name, s := range schemes() {
-			work := doc.Clone()
-			lab, err := s.Label(work)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev := New(lab)
-			for _, q := range queries {
-				want, err := TreeEvalString(work, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ev.EvalString(q)
-				if err != nil {
-					t.Fatalf("%s %s: %v", name, q, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("trial %d %s %s: %d nodes, want %d", trial, name, q, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d %s %s: node %d differs", trial, name, q, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-// The paper's Q1-style query on generated plays: //act[4] per play.
-func TestActFourPerPlay(t *testing.T) {
-	corpus := datasets.Replicate(datasets.Play(7, 5, 400), 3)
-	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := New(lab)
-	got, err := ev.EvalString("/corpus/play//act[4]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("act[4] per play over 3 replicas = %d nodes, want 3", len(got))
-	}
-}
-
-func TestEvaluatorReindex(t *testing.T) {
-	doc := fixture(t)
-	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).New(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := New(lab)
-	before, _ := ev.EvalString("//line")
-	act := xmltree.ElementsByName(doc.Root, "act")[0]
-	if _, err := lab.InsertChildAt(act.ElementChildren()[0].ElementChildren()[0], 1, xmltree.NewElement("line")); err != nil {
-		t.Fatal(err)
-	}
-	ev.Reindex()
-	after, _ := ev.EvalString("//line")
-	if len(after) != len(before)+1 {
-		t.Errorf("after insert: %d lines, want %d", len(after), len(before)+1)
-	}
-}
-
-func TestEmptyQueryEval(t *testing.T) {
-	doc := fixture(t)
-	lab, err := (prime.Scheme{}).New(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(lab).Eval(Query{}); err == nil {
-		t.Error("empty query should fail")
-	}
-	if _, err := TreeEval(doc, Query{}); err == nil {
-		t.Error("empty query should fail (tree)")
 	}
 }
 

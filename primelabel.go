@@ -3,14 +3,18 @@
 // the interval, prefix, Dewey and float baselines the paper evaluates
 // against.
 //
-// A labeled Document answers structural queries — ancestor tests, document
-// order, and an XPath subset with the order-sensitive axes following,
-// preceding, following-sibling and preceding-sibling — purely from node
-// labels, and absorbs insertions without relabeling existing nodes (the
-// prime scheme's defining property). Global document order is maintained
-// through a simultaneous-congruence (SC) table built on the Chinese
-// Remainder Theorem, so order-sensitive insertions update a handful of SC
-// records instead of renumbering the tree.
+// A labeled Document answers ancestor, parent and document-order tests
+// from node labels, and absorbs insertions without relabeling existing
+// nodes (the prime scheme's defining property). Global document order is
+// maintained through a simultaneous-congruence (SC) table built on the
+// Chinese Remainder Theorem, so order-sensitive insertions update a handful
+// of SC records instead of renumbering the tree. Path queries — an XPath
+// subset with the order-sensitive axes following, preceding,
+// following-sibling and preceding-sibling — run on the element table that
+// labeld serves (internal/rdb, the paper's Section 5.2 relational mapping):
+// one row per element in document order, whose subtree-extent column
+// answers ancestry by integer comparison. The table is built at the first
+// query and patched in place by every later update.
 //
 // Quick start:
 //
@@ -36,9 +40,9 @@ import (
 	"primelabel/internal/labeling/interval"
 	"primelabel/internal/labeling/prefix"
 	"primelabel/internal/labeling/prime"
+	"primelabel/internal/rdb"
 	"primelabel/internal/xmlparse"
 	"primelabel/internal/xmltree"
-	"primelabel/internal/xpath"
 )
 
 // SchemeKind selects a labeling scheme.
@@ -73,7 +77,12 @@ const (
 
 // Schemes lists every supported scheme kind.
 func Schemes() []SchemeKind {
-	return []SchemeKind{Prime, PrimeBottomUp, PrimeDecomposed, Interval, XRel, Prefix1, Prefix2, Dewey, Float, Compact}
+	names := codec.SchemeNames()
+	out := make([]SchemeKind, len(names))
+	for i, name := range names {
+		out[i] = SchemeKind(name)
+	}
+	return out
 }
 
 // Config selects a scheme and its options.
@@ -119,15 +128,11 @@ type Config struct {
 	KeepWhitespace bool
 }
 
-// scheme materializes the configured labeling.Scheme.
+// scheme materializes the configured labeling.Scheme from the scheme
+// registry.
 func (c Config) scheme() (labeling.Scheme, error) {
-	kind := c.Scheme
-	if kind == "" {
-		kind = Prime
-	}
-	switch kind {
-	case Prime:
-		return prime.Scheme{Opts: prime.Options{
+	s, ok := codec.NewScheme(string(c.Scheme), codec.Options{
+		Prime: prime.Options{
 			ReservedPrimes:   c.ReservedPrimes,
 			PowerOfTwoLeaves: c.PowerOfTwoLeaves,
 			Power2Threshold:  c.Power2Threshold,
@@ -135,28 +140,14 @@ func (c Config) scheme() (labeling.Scheme, error) {
 			SCChunk:          c.SCChunk,
 			OrderSpacing:     c.OrderSpacing,
 			RecyclePrimes:    c.RecyclePrimes,
-		}}, nil
-	case PrimeBottomUp:
-		return prime.BottomUpScheme{}, nil
-	case PrimeDecomposed:
-		return prime.DecomposedScheme{LayerHeight: c.LayerHeight}, nil
-	case Interval:
-		return interval.Scheme{Variant: interval.XISS}, nil
-	case XRel:
-		return interval.Scheme{Variant: interval.XRel}, nil
-	case Prefix1:
-		return prefix.Scheme{Variant: prefix.Prefix1, OrderPreserving: c.OrderPreserving}, nil
-	case Prefix2:
-		return prefix.Scheme{Variant: prefix.Prefix2, OrderPreserving: c.OrderPreserving}, nil
-	case Dewey:
-		return prefix.DeweyScheme{}, nil
-	case Float:
-		return floatlab.Scheme{}, nil
-	case Compact:
-		return compact.Scheme{}, nil
-	default:
-		return nil, fmt.Errorf("primelabel: unknown scheme %q", kind)
+		},
+		OrderPreserving: c.OrderPreserving,
+		LayerHeight:     c.LayerHeight,
+	})
+	if !ok {
+		return nil, fmt.Errorf("primelabel: unknown scheme %q", c.Scheme)
 	}
+	return s, nil
 }
 
 // Node is a handle to one element of a labeled document. The zero Node is
@@ -230,14 +221,17 @@ func (n Node) Depth() int {
 }
 
 // Document is a labeled XML document. All methods are safe for concurrent
-// use: an internal mutex serializes every operation (including queries,
-// which maintain internal caches).
+// use: an internal mutex serializes every operation. The first Query builds
+// the document's element table; every later update patches it, and an
+// update the labeling fails drops it for a rebuild at the next Query.
 type Document struct {
 	mu  sync.Mutex
 	cfg Config
 	doc *xmltree.Document
 	lab labeling.Labeling
-	ev  *xpath.Evaluator
+	// table is the element table Query runs on, nil until the first Query
+	// and after an update it could not be patched through.
+	table *rdb.Table
 }
 
 // Load parses XML from r and labels it according to cfg.
@@ -264,7 +258,7 @@ func fromTree(tree *xmltree.Document, cfg Config) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Document{cfg: cfg, doc: tree, lab: lab, ev: xpath.New(lab)}, nil
+	return &Document{cfg: cfg, doc: tree, lab: lab}, nil
 }
 
 // SchemeName returns the active scheme identifier (including optimization
@@ -338,19 +332,36 @@ func (d *Document) Before(a, b Node) (bool, error) {
 //
 //	/play//act[3]//following::act
 //
-// and returns matches in document order.
+// and returns matches in document order. It runs on the document's element
+// table with the extent planner, the executor labeld serves queries with;
+// the first call builds the table.
 func (d *Document) Query(q string) ([]Node, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ns, err := d.ev.EvalString(q)
+	if d.table == nil {
+		d.table = rdb.Build(d.lab)
+		d.table.Plan = rdb.Extent
+	}
+	rows, err := d.table.ExecPathString(q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Node, len(ns))
-	for i, n := range ns {
-		out[i] = Node{n: n}
+	out := make([]Node, len(rows))
+	for i, id := range rows {
+		out[i] = Node{n: d.table.Node(id)}
 	}
 	return out, nil
+}
+
+// patch keeps the element table, if one was built, in step with an update
+// of n (see rdb.Table.Patch): the inserted element or wrapper, or with
+// removed set the deleted subtree's root. When the labeling returned err —
+// it may have mutated state partway — or the patch cannot place n, the
+// table is dropped and the next Query rebuilds it. Callers hold d.mu.
+func (d *Document) patch(n *xmltree.Node, removed bool, err error) {
+	if d.table != nil && (err != nil || !d.table.Patch(n, removed)) {
+		d.table = nil
+	}
 }
 
 // InsertChild inserts a new element with the given tag as the idx-th child
@@ -364,34 +375,12 @@ func (d *Document) InsertChild(parent Node, idx int, tag string) (Node, int, err
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := xmltree.NewElement(tag)
-	// Convert the element-index to a raw child index (text nodes
-	// interleave).
-	raw := rawChildIndex(parent.n, idx)
-	count, err := d.lab.InsertChildAt(parent.n, raw, n)
+	count, err := d.lab.InsertChildAt(parent.n, parent.n.RawChildIndex(idx), n)
+	d.patch(n, false, err)
 	if err != nil {
 		return Node{}, count, err
 	}
-	d.ev.Reindex()
 	return Node{n: n}, count, nil
-}
-
-// rawChildIndex maps an index among element children to an index among all
-// children.
-func rawChildIndex(parent *xmltree.Node, elemIdx int) int {
-	if elemIdx <= 0 {
-		return 0
-	}
-	seen := 0
-	for i, c := range parent.Children {
-		if c.Kind != xmltree.ElementNode {
-			continue
-		}
-		seen++
-		if seen == elemIdx {
-			return i + 1
-		}
-	}
-	return len(parent.Children)
 }
 
 // InsertBefore inserts a new element with the given tag immediately before
@@ -405,10 +394,10 @@ func (d *Document) InsertBefore(sibling Node, tag string) (Node, int, error) {
 	parent := sibling.n.Parent
 	n := xmltree.NewElement(tag)
 	count, err := d.lab.InsertChildAt(parent, parent.ChildIndex(sibling.n), n)
+	d.patch(n, false, err)
 	if err != nil {
 		return Node{}, count, err
 	}
-	d.ev.Reindex()
 	return Node{n: n}, count, nil
 }
 
@@ -423,10 +412,10 @@ func (d *Document) InsertAfter(sibling Node, tag string) (Node, int, error) {
 	parent := sibling.n.Parent
 	n := xmltree.NewElement(tag)
 	count, err := d.lab.InsertChildAt(parent, parent.ChildIndex(sibling.n)+1, n)
+	d.patch(n, false, err)
 	if err != nil {
 		return Node{}, count, err
 	}
-	d.ev.Reindex()
 	return Node{n: n}, count, nil
 }
 
@@ -440,10 +429,10 @@ func (d *Document) WrapParent(target Node, tag string) (Node, int, error) {
 	defer d.mu.Unlock()
 	n := xmltree.NewElement(tag)
 	count, err := d.lab.WrapNode(target.n, n)
+	d.patch(n, false, err)
 	if err != nil {
 		return Node{}, count, err
 	}
-	d.ev.Reindex()
 	return Node{n: n}, count, nil
 }
 
@@ -454,11 +443,9 @@ func (d *Document) Delete(n Node) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.lab.Delete(n.n); err != nil {
-		return err
-	}
-	d.ev.Reindex()
-	return nil
+	err := d.lab.Delete(n.n)
+	d.patch(n.n, true, err)
+	return err
 }
 
 // LabelBits returns the size in bits of n's label.
@@ -487,53 +474,7 @@ func (d *Document) Label(n Node) string {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch l := d.lab.(type) {
-	case *prime.Labeling:
-		return l.LabelOf(n.n).String()
-	case *prime.BottomUpLabeling:
-		return l.LabelOf(n.n).String()
-	case *prime.DecomposedLabeling:
-		parts := []string{}
-		for _, e := range l.ChainOf(n.n) {
-			parts = append(parts, e.String())
-		}
-		return strings.Join(parts, ".")
-	case *interval.Labeling:
-		a, b, ok := l.Interval(n.n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%d,%d)", a, b)
-	case *prefix.Labeling:
-		bits, ok := l.BitsOf(n.n)
-		if !ok {
-			return ""
-		}
-		if bits.Len() == 0 {
-			return "ε"
-		}
-		return bits.String()
-	case *prefix.DeweyLabeling:
-		s, _ := l.DeweyOf(n.n)
-		if s == "" {
-			return "ε"
-		}
-		return s
-	case *floatlab.Labeling:
-		a, b, ok := l.Interval(n.n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%g,%g)", a, b)
-	case *compact.Labeling:
-		cl, ok := l.LabelOf(n.n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%d,%d)", cl.Start, cl.End)
-	default:
-		return fmt.Sprintf("<%d bits>", d.lab.LabelBits(n.n))
-	}
+	return codec.LabelString(d.lab, n.n)
 }
 
 // SelfLabel returns the prime scheme's self-label for n (empty for other
@@ -583,7 +524,7 @@ func LoadSaved(r io.Reader) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Document{cfg: configOf(lab), doc: lab.Doc(), lab: lab, ev: xpath.New(lab)}, nil
+	return &Document{cfg: configOf(lab), doc: lab.Doc(), lab: lab}, nil
 }
 
 // configOf reconstructs the Config a restored labeling was built with, as

@@ -2,9 +2,13 @@ package primelabel
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"primelabel/internal/xpath"
 )
 
 const libraryXML = `<library>
@@ -460,5 +464,115 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if err := doc.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stormConfigs is every Schemes() kind at its defaults plus the variants
+// that add order: TrackOrder for the prime scheme, OrderPreserving for the
+// prefix schemes.
+func stormConfigs() []Config {
+	var out []Config
+	for _, kind := range Schemes() {
+		out = append(out, Config{Scheme: kind})
+	}
+	return append(out,
+		Config{Scheme: Prime, TrackOrder: true},
+		Config{Scheme: Prefix1, OrderPreserving: true},
+		Config{Scheme: Prefix2, OrderPreserving: true},
+	)
+}
+
+// stormElements lists the document's elements in document order by
+// walking Node handles, independently of the element table under test.
+func stormElements(doc *Document) []Node {
+	var out []Node
+	var walk func(n Node)
+	walk = func(n Node) {
+		out = append(out, n)
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(doc.Root())
+	return out
+}
+
+// TestQueryMatchesTreeEvalThroughUpdateStorm holds Document.Query to the
+// tree-walking reference after every op of a seeded storm of inserts,
+// wraps, deletes and rejected ops (deleting or wrapping the root), for
+// every scheme configuration. The first query builds the element table;
+// every later mutator must patch it, or drop it when the labeling fails.
+// A configuration without order fails order-axis queries exactly as its
+// Before does.
+func TestQueryMatchesTreeEvalThroughUpdateStorm(t *testing.T) {
+	queries := []string{
+		"/library//book", "//section/book[2]", "//book//following::title",
+		"//title//preceding::book", "//book//following-sibling::book",
+		"//book//preceding-sibling::note", "//*", "/library/*", "//note[1]",
+		"//section//title", "//*[3]//following::*",
+	}
+	tags := []string{"book", "note", "title"}
+	for ci, cfg := range stormConfigs() {
+		name := fmt.Sprintf("%s/order=%v/preserving=%v", cfg.Scheme, cfg.TrackOrder, cfg.OrderPreserving)
+		doc := loadLibrary(t, cfg)
+		_, orderErr := doc.Before(doc.Root(), doc.Find("book")[0])
+		check := func(op int) {
+			t.Helper()
+			for _, q := range queries {
+				want, err := xpath.TreeEvalString(doc.doc, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := doc.Query(q)
+				if err != nil {
+					if orderErr == nil || err.Error() != orderErr.Error() || !strings.Contains(q, "::") {
+						t.Fatalf("%s op %d %s: %v (Before error %v)", name, op, q, err, orderErr)
+					}
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s op %d %s: %d nodes, reference %d", name, op, q, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].n != want[i] {
+						t.Fatalf("%s op %d %s: node %d differs from the reference", name, op, q, i)
+					}
+				}
+			}
+		}
+		check(-1)
+		rng := rand.New(rand.NewSource(int64(500 + ci)))
+		for op := 0; op < 30; op++ {
+			els := stormElements(doc)
+			target := els[1+rng.Intn(len(els)-1)] // never the root
+			tag := tags[rng.Intn(len(tags))]
+			var err error
+			switch k := rng.Intn(12); {
+			case k < 3:
+				_, _, err = doc.InsertChild(els[rng.Intn(len(els))], rng.Intn(4), tag)
+			case k < 5:
+				_, _, err = doc.InsertBefore(target, tag)
+			case k < 7:
+				_, _, err = doc.InsertAfter(target, tag)
+			case k < 9:
+				_, _, err = doc.WrapParent(target, tag)
+			case k < 11:
+				if len(els) > 8 {
+					err = doc.Delete(target)
+				}
+			default:
+				// The labeling rejects these: the table must not serve on.
+				if doc.Delete(doc.Root()) == nil {
+					t.Fatalf("%s op %d: deleting the root succeeded", name, op)
+				}
+				if _, _, werr := doc.WrapParent(doc.Root(), tag); werr == nil {
+					t.Fatalf("%s op %d: wrapping the root succeeded", name, op)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s op %d: %v", name, op, err)
+			}
+			check(op)
+		}
 	}
 }
