@@ -1,11 +1,11 @@
 # Tier-1 verification flow. `make verify` is the pre-merge check, and CI
-# runs the same targets as separate steps: build, vet, the godoc lint over
-# the server packages, the full test suite, the test suite again under the
-# race detector (the server and primes packages are exercised by
-# multi-goroutine tests, so -race is load-bearing, not ceremony), short fuzz
-# passes — the journal frame scanner is the single parser standing between
-# a crashed process's half-written bytes and the recovery path — and the
-# replication and cluster end-to-end suites.
+# runs the same targets as separate steps: build, vet (perfbench's module
+# too), the godoc lint over the server packages, the full test suite, the
+# test suite again under the race detector (the server and primes packages
+# are exercised by multi-goroutine tests, so -race is load-bearing, not
+# ceremony), short fuzz passes — the journal frame scanner is the single
+# parser standing between a crashed process's half-written bytes and the
+# recovery path — and the replication and cluster end-to-end suites.
 
 GO ?= go
 
@@ -14,8 +14,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also vets perfbench, which is its own Go module (so ./... skips it) and
+# builds against the program's packages: a program change that breaks the
+# end-to-end benchmark's build fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # lint enforces the godoc contract on the server packages and the element
 # table and SC-order packages beneath them (every exported identifier must
@@ -32,14 +36,16 @@ race:
 
 # fuzz seeds the journal frame scanner with 10s of random torn/corrupt
 # inputs on top of the checked-in corpus, then the streaming frame decoder
-# (the replication wire format) with the same treatment, the extent join
-# planner against the label oracle, the element-table executor the library
-# and labeld share against the tree-walking XPath reference, and the SC
-# table against fresh CRT solves after every random insert, delete,
+# (the replication wire format) with the same treatment, the labeling codec
+# (every stream it accepts must label its tree consistently), the extent
+# join planner against the label oracle, the element-table executor the
+# library and labeld share against the tree-walking XPath reference, and the
+# SC table against fresh CRT solves after every random insert, delete,
 # compaction and restore.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalFrames -fuzztime 10s ./internal/server/persist
 	$(GO) test -run '^$$' -fuzz FuzzStreamFrames -fuzztime 10s ./internal/server/persist
+	$(GO) test -run '^$$' -fuzz FuzzCodecUnmarshal -fuzztime 10s ./internal/labeling/codec
 	$(GO) test -run '^$$' -fuzz FuzzExtentJoinParity -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzEvalTreeParity -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz FuzzSCTable -fuzztime 10s ./internal/order

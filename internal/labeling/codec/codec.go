@@ -5,6 +5,8 @@
 // tag, then delegates to the owning package's Marshal/Unmarshal — prime,
 // interval (XISS and XRel), prefix (Prefix-1 and Prefix-2), Dewey, float
 // and compact — so a single Save/Load pair covers every serving scheme.
+// Every scheme's payload is written with internal/labeling/wire: the tree
+// in preorder, each element's label parts beside it.
 //
 // Persistence exists because dynamic updates make allocation state
 // history-dependent in every scheme: the prime scheme's prime source and SC
@@ -108,9 +110,15 @@ func Marshal(l labeling.Labeling, w io.Writer) error {
 
 // Unmarshal reads a labeling written by Marshal, dispatching on the stored
 // scheme tag. The returned value is the concrete labeling type of the
-// scheme that produced the stream; every codec verifies its scheme's
-// invariants before returning, so a corrupted or tampered stream cannot
-// produce an inconsistent labeling.
+// scheme that produced the stream. Snapshots carry no checksum, so every
+// codec verifies its scheme's invariants before returning, and a corrupted
+// or tampered stream cannot produce a labeling whose ancestor test, or
+// document order where it keeps one, contradicts its tree: interval, float
+// and compact ranges are non-empty and nest inside their parent's, with
+// sibling ranges disjoint and in document order; prefix sibling codes are
+// prefix-free, and rise in document order under OrderPreserving; Dewey
+// sibling components rise; prime labels pass Labeling.Check. The fuzz
+// target FuzzCodecUnmarshal holds every decoder to this.
 func Unmarshal(r io.Reader) (labeling.Labeling, error) {
 	head := make([]byte, len(Magic)+1)
 	if _, err := io.ReadFull(r, head); err != nil {

@@ -88,7 +88,8 @@ func readU32(r *wire.Reader, what string) uint32 {
 
 // checkRestored validates a just-unmarshaled labeling: root at level 0,
 // start < end and per-edge containment, levels increasing by one per edge,
-// and the stored maxima covering every label.
+// sibling ranges disjoint and in document order, and the stored maxima
+// covering every label.
 func (l *Labeling) checkRestored() error {
 	rl := l.labels[l.doc.Root]
 	if rl.Level != 0 {
@@ -98,6 +99,15 @@ func (l *Labeling) checkRestored() error {
 		nl := l.labels[n]
 		if nl.Start >= nl.End {
 			return fmt.Errorf("%w: empty range (%d,%d)", wire.ErrBadFormat, nl.Start, nl.End)
+		}
+		var prev *Label
+		for _, c := range n.ElementChildren() {
+			cl := l.labels[c]
+			if prev != nil && prev.End >= cl.Start {
+				return fmt.Errorf("%w: sibling ranges (%d,%d) and (%d,%d) overlap or are out of order",
+					wire.ErrBadFormat, prev.Start, prev.End, cl.Start, cl.End)
+			}
+			prev = &cl
 		}
 		if nl.End > l.maxVal {
 			return fmt.Errorf("%w: label (%d,%d) exceeds stored max %d", wire.ErrBadFormat, nl.Start, nl.End, l.maxVal)

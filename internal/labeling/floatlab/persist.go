@@ -72,7 +72,8 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 }
 
 // checkRestored validates a just-unmarshaled labeling: root at level 0,
-// start < end everywhere, strict containment and level+1 on every edge.
+// start < end everywhere, strict containment and level+1 on every edge, and
+// sibling intervals disjoint and in document order.
 func (l *Labeling) checkRestored() error {
 	if rl := l.labels[l.doc.Root]; rl.level != 0 {
 		return fmt.Errorf("%w: root level %d", wire.ErrBadFormat, rl.level)
@@ -81,6 +82,15 @@ func (l *Labeling) checkRestored() error {
 		nl := l.labels[n]
 		if !(nl.start < nl.end) {
 			return fmt.Errorf("%w: degenerate interval (%g,%g)", wire.ErrBadFormat, nl.start, nl.end)
+		}
+		var prev *fLabel
+		for _, c := range n.ElementChildren() {
+			cl := l.labels[c]
+			if prev != nil && !(prev.end < cl.start) {
+				return fmt.Errorf("%w: sibling intervals (%g,%g) and (%g,%g) overlap or are out of order",
+					wire.ErrBadFormat, prev.start, prev.end, cl.start, cl.end)
+			}
+			prev = cl
 		}
 		if n.Parent == nil {
 			continue

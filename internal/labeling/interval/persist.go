@@ -78,8 +78,11 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 }
 
 // checkRestored validates a just-unmarshaled labeling: root at level 0,
-// per-edge containment under the active variant, levels increasing by one
-// per edge, and maxVal covering every stored counter value.
+// every range [a,b] non-empty and within maxVal, per-edge containment under
+// the active variant with the child's range inside its parent's, levels
+// increasing by one per edge, and sibling ranges disjoint and in document
+// order. Together these make the ranges nest exactly as the tree does, so
+// the containment test agrees with the tree on every pair of elements.
 func (l *Labeling) checkRestored() error {
 	rl := l.labels[l.doc.Root]
 	if rl.level != 0 {
@@ -87,8 +90,20 @@ func (l *Labeling) checkRestored() error {
 	}
 	for _, n := range xmltree.Elements(l.doc.Root) {
 		nl := l.labels[n]
-		if nl.a > l.maxVal || nl.b > l.maxVal {
+		if nl.a > nl.b {
+			return fmt.Errorf("%w: empty range (%d,%d)", wire.ErrBadFormat, nl.a, nl.b)
+		}
+		if nl.b > l.maxVal {
 			return fmt.Errorf("%w: label (%d,%d) exceeds stored max %d", wire.ErrBadFormat, nl.a, nl.b, l.maxVal)
+		}
+		var prev *ivLabel
+		for _, c := range n.ElementChildren() {
+			cl := l.labels[c]
+			if prev != nil && prev.b >= cl.a {
+				return fmt.Errorf("%w: sibling ranges (%d,%d) and (%d,%d) overlap or are out of order",
+					wire.ErrBadFormat, prev.a, prev.b, cl.a, cl.b)
+			}
+			prev = cl
 		}
 		if n.Parent == nil {
 			continue
@@ -97,7 +112,7 @@ func (l *Labeling) checkRestored() error {
 		if pl.level+1 != nl.level {
 			return fmt.Errorf("%w: level %d under parent level %d", wire.ErrBadFormat, nl.level, pl.level)
 		}
-		if !l.IsAncestor(n.Parent, n) {
+		if !l.IsAncestor(n.Parent, n) || nl.b > pl.b {
 			return fmt.Errorf("%w: label (%d,%d) not contained in parent (%d,%d)",
 				wire.ErrBadFormat, nl.a, nl.b, pl.a, pl.b)
 		}

@@ -3,6 +3,7 @@ package prefix
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"primelabel/internal/labeling/wire"
 	"primelabel/internal/xmltree"
@@ -66,7 +67,8 @@ func (l *Labeling) Marshal(out io.Writer) error {
 
 // Unmarshal reads a prefix labeling produced by Marshal, recomputing full
 // labels from the stored sibling codes and verifying that every non-root
-// element carries a non-empty code.
+// element carries a non-empty code and that sibling codes are prefix-free
+// (and ordered, under OrderPreserving).
 func Unmarshal(in io.Reader) (*Labeling, error) {
 	r := wire.NewReader(in)
 	r.Expect(pfxMagic)
@@ -101,7 +103,11 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 			}
 			nl.label = l.labels[n.Parent].label.Append(nl.code)
 		}
-		for _, c := range n.ElementChildren() {
+		kids := n.ElementChildren()
+		if err := l.checkSiblingCodes(n, kids); err != nil {
+			return err
+		}
+		for _, c := range kids {
 			if err := relabel(c); err != nil {
 				return err
 			}
@@ -112,6 +118,27 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// checkSiblingCodes verifies that the sibling codes of parent's element
+// children kids are prefix-free, so that no sibling reads as another's
+// descendant, and, under OrderPreserving, rise in document order. Sorted,
+// a set of codes is prefix-free when no code is a prefix of the next one.
+func (l *Labeling) checkSiblingCodes(parent *xmltree.Node, kids []*xmltree.Node) error {
+	codes := make([]Bits, len(kids))
+	for i, c := range kids {
+		codes[i] = l.labels[c].code
+	}
+	if !l.scheme.OrderPreserving {
+		slices.SortFunc(codes, Bits.Compare)
+	}
+	for i := 1; i < len(codes); i++ {
+		if codes[i-1].Compare(codes[i]) >= 0 || codes[i].HasPrefix(codes[i-1]) {
+			return fmt.Errorf("%w: sibling codes %s and %s under %s are not prefix-free and ordered",
+				wire.ErrBadFormat, codes[i-1], codes[i], xmltree.PathTo(parent))
+		}
+	}
+	return nil
 }
 
 // Scheme returns the variant configuration this labeling was built with.

@@ -1,14 +1,12 @@
 package prime
 
 import (
-	"bufio"
 	"container/heap"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 
+	"primelabel/internal/labeling/wire"
 	"primelabel/internal/order"
 	"primelabel/internal/primes"
 	"primelabel/internal/xmltree"
@@ -27,101 +25,34 @@ import (
 // inconsistent labeling. Full labels are *not* stored — they are products
 // of the stored parts and are recomputed in one pass.
 //
-// The format is a versioned, varint-packed binary stream; it is an internal
-// format with no cross-version compatibility promise.
+// The format is a versioned, varint-packed binary stream written with
+// internal/labeling/wire, the tree and each element's label parts
+// interleaved in preorder; it is an internal format with no cross-version
+// compatibility promise.
 
 // magic identifies the stream format and version.
 var magic = []byte("PRIMELBL\x01")
 
-// ErrBadFormat reports a stream that is not a valid labeled document.
-var ErrBadFormat = errors.New("prime: invalid labeled-document stream")
-
-type writer struct {
-	w   *bufio.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (w *writer) uvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	n := binary.PutUvarint(w.buf[:], v)
-	_, w.err = w.w.Write(w.buf[:n])
-}
-
-func (w *writer) uint(v int) { w.uvarint(uint64(v)) }
-
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.WriteString(s)
-}
-
-func (w *writer) bool(b bool) {
-	v := uint64(0)
-	if b {
-		v = 1
-	}
-	w.uvarint(v)
-}
-
-type reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return v
-}
-
-func (r *reader) uint() int { return int(r.uvarint()) }
-
-func (r *reader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > 1<<28 {
-		r.err = fmt.Errorf("%w: unreasonable string length %d", ErrBadFormat, n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrBadFormat, err)
-		return ""
-	}
-	return string(buf)
-}
-
-func (r *reader) bool() bool { return r.uvarint() != 0 }
-
 // Marshal writes the labeled document to w.
 func (l *Labeling) Marshal(out io.Writer) error {
-	w := &writer{w: bufio.NewWriter(out)}
-	if _, err := w.w.Write(magic); err != nil {
-		return err
-	}
+	w := wire.NewWriter(out)
+	w.Raw(magic)
 	// Options.
 	o := l.opts
-	w.uint(o.ReservedPrimes + 1) // shift so -1 (auto) encodes as 0
-	w.bool(o.PowerOfTwoLeaves)
-	w.uint(o.Power2Threshold)
-	w.bool(o.TrackOrder)
-	w.uint(o.SCChunk)
-	w.uint(o.OrderSpacing)
-	w.bool(o.RecyclePrimes)
+	w.Int(o.ReservedPrimes + 1) // shift so -1 (auto) encodes as 0
+	w.Bool(o.PowerOfTwoLeaves)
+	w.Int(o.Power2Threshold)
+	w.Bool(o.TrackOrder)
+	w.Int(o.SCChunk)
+	w.Int(o.OrderSpacing)
+	w.Bool(o.RecyclePrimes)
 	// Tree + per-element label parts, interleaved in preorder.
-	l.marshalNode(w, l.doc.Root)
+	wire.WriteTree(w, l.doc.Root, func(n *xmltree.Node) {
+		nl := l.labels[n]
+		w.Uvarint(nl.selfPrime)
+		w.Int(nl.exp)
+		w.Uvarint(nl.orderKey)
+	})
 	// childNum counters, keyed by preorder element index and written in
 	// index order, so that equal states marshal to equal bytes.
 	idx := xmltree.DocOrderIndex(l.doc)
@@ -130,90 +61,56 @@ func (l *Labeling) Marshal(out io.Writer) error {
 		counts = append(counts, [2]int{idx[n], c})
 	}
 	sort.Slice(counts, func(i, j int) bool { return counts[i][0] < counts[j][0] })
-	w.uint(len(counts))
+	w.Int(len(counts))
 	for _, e := range counts {
-		w.uint(e[0])
-		w.uint(e[1])
+		w.Int(e[0])
+		w.Int(e[1])
 	}
 	// Prime source.
 	next, reserved, issued := l.src.SnapshotState()
-	w.uvarint(next)
-	w.uint(issued)
-	w.uint(len(reserved))
+	w.Uvarint(next)
+	w.Int(issued)
+	w.Int(len(reserved))
 	for _, p := range reserved {
-		w.uvarint(p)
+		w.Uvarint(p)
 	}
 	// Recycling pool.
-	w.uint(l.free.Len())
+	w.Int(l.free.Len())
 	for _, p := range l.free {
-		w.uvarint(p)
+		w.Uvarint(p)
 	}
 	// SC table.
-	w.bool(l.sct != nil)
+	w.Bool(l.sct != nil)
 	if l.sct != nil {
 		chunk, spacing, nextOrd, records := l.sct.Snapshot()
-		w.uint(chunk)
-		w.uint(spacing)
-		w.uint(nextOrd)
-		w.uint(len(records))
+		w.Int(chunk)
+		w.Int(spacing)
+		w.Int(nextOrd)
+		w.Int(len(records))
 		for _, ms := range records {
-			w.uint(len(ms))
+			w.Int(len(ms))
 			for _, m := range ms {
-				w.uvarint(m.Prime)
-				w.uint(m.Order)
+				w.Uvarint(m.Prime)
+				w.Int(m.Order)
 			}
 		}
 	}
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// marshalNode writes one node (and, for elements, its label parts and
-// children) in preorder.
-func (l *Labeling) marshalNode(w *writer, n *xmltree.Node) {
-	if n.Kind == xmltree.TextNode {
-		w.uint(1)
-		w.str(n.Data)
-		return
-	}
-	w.uint(0)
-	w.str(n.Name)
-	w.uint(len(n.Attrs))
-	for _, a := range n.Attrs {
-		w.str(a.Name)
-		w.str(a.Value)
-	}
-	nl := l.labels[n]
-	w.uvarint(nl.selfPrime)
-	w.uint(nl.exp)
-	w.uvarint(nl.orderKey)
-	w.uint(len(n.Children))
-	for _, c := range n.Children {
-		l.marshalNode(w, c)
-	}
+	return w.Flush()
 }
 
 // Unmarshal reads a labeled document produced by Marshal and verifies its
 // consistency.
 func Unmarshal(in io.Reader) (*Labeling, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(r.r, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if string(head) != string(magic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
+	r := wire.NewReader(in)
+	r.Expect(magic)
 	var opts Options
-	opts.ReservedPrimes = r.uint() - 1
-	opts.PowerOfTwoLeaves = r.bool()
-	opts.Power2Threshold = r.uint()
-	opts.TrackOrder = r.bool()
-	opts.SCChunk = r.uint()
-	opts.OrderSpacing = r.uint()
-	opts.RecyclePrimes = r.bool()
+	opts.ReservedPrimes = r.Int() - 1
+	opts.PowerOfTwoLeaves = r.Bool()
+	opts.Power2Threshold = r.Int()
+	opts.TrackOrder = r.Bool()
+	opts.SCChunk = r.Int()
+	opts.OrderSpacing = r.Int()
+	opts.RecyclePrimes = r.Bool()
 
 	l := &Labeling{
 		opts:        opts,
@@ -222,87 +119,92 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		power2Count: make(map[*xmltree.Node]int),
 		fastPath:    true,
 	}
-	root, err := l.unmarshalNode(r, nil, true)
+	root, err := wire.ReadTree(r, func(n *xmltree.Node) error {
+		nl := &nodeLabel{selfPrime: r.Uvarint(), exp: r.Int(), orderKey: r.Uvarint()}
+		// A forged exponent would make selfBig allocate 2^exp bits; no
+		// legitimate Power2Threshold comes anywhere near this bound.
+		if nl.exp < 0 || nl.exp > 1<<16 {
+			r.Fail("unreasonable leaf exponent %d", nl.exp)
+		}
+		l.labels[n] = nl
+		return r.Err()
+	})
 	if err != nil {
 		return nil, err
 	}
+	if rl := l.labels[root]; rl.selfPrime != 0 || rl.exp != 0 {
+		return nil, fmt.Errorf("%w: root carries a self-label", wire.ErrBadFormat)
+	}
 	l.doc = xmltree.NewDocument(root)
-
+	// Full labels are products of the stored parts: derive them parent
+	// first, in preorder.
 	elements := xmltree.Elements(root)
-	childNumCount := r.uint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if childNumCount < 0 || childNumCount > len(elements) {
-		return nil, fmt.Errorf("%w: unreasonable childNum count", ErrBadFormat)
-	}
-	for i, count := 0, childNumCount; i < count; i++ {
-		idx := r.uint()
-		v := r.uint()
-		if r.err != nil {
-			return nil, r.err
+	for _, n := range elements {
+		var parent *nodeLabel
+		if n.Parent != nil {
+			parent = l.labels[n.Parent]
 		}
+		l.derive(l.labels[n], parent)
+	}
+
+	// Counts are checked before they size anything; after a read error
+	// every value is zero, and the error surfaces below.
+	childNumCount := r.Int()
+	if childNumCount < 0 || childNumCount > len(elements) {
+		return nil, fmt.Errorf("%w: unreasonable childNum count", wire.ErrBadFormat)
+	}
+	for i := 0; i < childNumCount; i++ {
+		idx, v := r.Int(), r.Int()
 		if idx < 0 || idx >= len(elements) {
-			return nil, fmt.Errorf("%w: childNum index %d out of range", ErrBadFormat, idx)
+			return nil, fmt.Errorf("%w: childNum index %d out of range", wire.ErrBadFormat, idx)
 		}
 		l.power2Count[elements[idx]] = v
 	}
 
-	next := r.uvarint()
-	issued := r.uint()
-	reservedCount := r.uint()
-	if r.err != nil {
-		return nil, r.err
-	}
+	next := r.Uvarint()
+	issued := r.Int()
+	reservedCount := r.Int()
 	if reservedCount < 0 || reservedCount > 1<<20 {
-		return nil, fmt.Errorf("%w: unreasonable reserved pool", ErrBadFormat)
+		return nil, fmt.Errorf("%w: unreasonable reserved pool", wire.ErrBadFormat)
 	}
 	reserved := make([]uint64, reservedCount)
 	for i := range reserved {
-		reserved[i] = r.uvarint()
+		reserved[i] = r.Uvarint()
 	}
 	l.src = primes.Resume(next, reserved, issued)
 
-	freeCount := r.uint()
-	if r.err != nil {
-		return nil, r.err
-	}
+	freeCount := r.Int()
 	if freeCount < 0 || freeCount > 1<<24 {
-		return nil, fmt.Errorf("%w: unreasonable free pool", ErrBadFormat)
+		return nil, fmt.Errorf("%w: unreasonable free pool", wire.ErrBadFormat)
 	}
-	for i := 0; i < freeCount; i++ {
-		l.free = append(l.free, r.uvarint())
+	for i := 0; i < freeCount && r.Err() == nil; i++ {
+		l.free = append(l.free, r.Uvarint())
 	}
 	heap.Init(&l.free)
 
-	if r.bool() {
-		chunk := r.uint()
-		spacing := r.uint()
-		nextOrd := r.uint()
-		recordCount := r.uint()
-		if r.err != nil {
-			return nil, r.err
-		}
+	if r.Bool() {
+		chunk := r.Int()
+		spacing := r.Int()
+		nextOrd := r.Int()
+		recordCount := r.Int()
 		if recordCount < 0 || recordCount > 1<<24 {
-			return nil, fmt.Errorf("%w: unreasonable record count", ErrBadFormat)
+			return nil, fmt.Errorf("%w: unreasonable record count", wire.ErrBadFormat)
 		}
-		records := make([][]order.Member, recordCount)
-		for i := range records {
-			memberCount := r.uint()
-			if r.err != nil {
-				return nil, r.err
-			}
+		// Records grow with the bytes actually read, not with the counts.
+		var records [][]order.Member
+		for i := 0; i < recordCount && r.Err() == nil; i++ {
+			memberCount := r.Int()
 			if memberCount < 0 || memberCount > 1<<20 {
-				return nil, fmt.Errorf("%w: unreasonable member count", ErrBadFormat)
+				return nil, fmt.Errorf("%w: unreasonable member count", wire.ErrBadFormat)
 			}
-			ms := make([]order.Member, memberCount)
-			for j := range ms {
-				ms[j] = order.Member{Prime: r.uvarint(), Order: r.uint()}
+			ms := []order.Member{}
+			for j := 0; j < memberCount && r.Err() == nil; j++ {
+				ms = append(ms, order.Member{Prime: r.Uvarint(), Order: r.Int()})
 			}
-			records[i] = ms
+			records = append(records, ms)
 		}
-		if r.err != nil {
-			return nil, r.err
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		tbl, err := order.Restore(chunk, spacing, nextOrd, records, func(min uint64) uint64 {
 			for {
@@ -317,8 +219,8 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		}
 		l.sct = tbl
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	// Rebuild the order-key index and verify everything.
 	for _, n := range elements {
@@ -330,66 +232,4 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		return nil, fmt.Errorf("prime: unmarshaled labeling inconsistent: %w", err)
 	}
 	return l, nil
-}
-
-// unmarshalNode reads one node written by marshalNode. parent is the
-// parent's label state (nil for the root), from which the full label and
-// the depth/signature fast-path fields are rederived.
-func (l *Labeling) unmarshalNode(r *reader, parent *nodeLabel, isRoot bool) (*xmltree.Node, error) {
-	kind := r.uint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	switch kind {
-	case 1:
-		if isRoot {
-			return nil, fmt.Errorf("%w: text node as root", ErrBadFormat)
-		}
-		return xmltree.NewText(r.str()), nil
-	case 0:
-		n := xmltree.NewElement(r.str())
-		for i, count := 0, r.uint(); i < count; i++ {
-			if r.err != nil {
-				return nil, r.err
-			}
-			n.Attrs = append(n.Attrs, xmltree.Attr{Name: r.str(), Value: r.str()})
-		}
-		nl := &nodeLabel{
-			selfPrime: r.uvarint(),
-			exp:       r.uint(),
-			orderKey:  r.uvarint(),
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		// A forged exponent would make selfBig allocate 2^exp bits; no
-		// legitimate Power2Threshold comes anywhere near this bound.
-		if nl.exp < 0 || nl.exp > 1<<16 {
-			return nil, fmt.Errorf("%w: unreasonable leaf exponent %d", ErrBadFormat, nl.exp)
-		}
-		if isRoot && (nl.selfPrime != 0 || nl.exp != 0) {
-			return nil, fmt.Errorf("%w: root carries a self-label", ErrBadFormat)
-		}
-		l.derive(nl, parent)
-		l.labels[n] = nl
-		childCount := r.uint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if childCount > 1<<24 {
-			return nil, fmt.Errorf("%w: unreasonable child count", ErrBadFormat)
-		}
-		for i := 0; i < childCount; i++ {
-			c, err := l.unmarshalNode(r, nl, false)
-			if err != nil {
-				return nil, err
-			}
-			if err := n.AppendChild(c); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown node kind %d", ErrBadFormat, kind)
-	}
 }

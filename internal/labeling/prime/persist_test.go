@@ -2,7 +2,10 @@ package prime
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"primelabel/internal/labeling"
@@ -239,5 +242,82 @@ func TestUnmarshalRejectsTamperedLabels(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Error("no tampered stream was rejected; validation seems absent")
+	}
+}
+
+// goldenMarshalOptions are the option sets testdata/marshal-v1 pins: file
+// i.bin holds the bytes goldenStorm's labeling under option set i marshaled
+// to before the codec wrote through internal/labeling/wire.
+var goldenMarshalOptions = []Options{
+	{},
+	{ReservedPrimes: -1, PowerOfTwoLeaves: true},
+	{TrackOrder: true},
+	{TrackOrder: true, SCChunk: 3, OrderSpacing: 8, PowerOfTwoLeaves: true, ReservedPrimes: 4},
+	{TrackOrder: true, RecyclePrimes: true, PowerOfTwoLeaves: true, Power2Threshold: 2},
+}
+
+// goldenStorm labels a seeded 60-element tree carrying text and attributes
+// under opts, then applies a seeded 60-op storm of inserts, wraps and leaf
+// deletes.
+func goldenStorm(t *testing.T, opts Options) *Labeling {
+	t.Helper()
+	rng := rand.New(rand.NewSource(28))
+	doc := randomTree(rng, 60)
+	for i, n := range xmltree.Elements(doc.Root) {
+		if i%7 == 3 {
+			n.SetAttr("id", fmt.Sprint("n", i))
+		}
+		if i%5 == 1 {
+			_ = n.AppendChild(xmltree.NewText(fmt.Sprint("text ", i)))
+		}
+	}
+	l, err := Scheme{Opts: opts}.New(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		els := xmltree.Elements(l.doc.Root)
+		v := els[1+rng.Intn(len(els)-1)]
+		switch r := rng.Intn(10); {
+		case r < 6:
+			_, err = l.InsertChildAt(v, rng.Intn(len(v.ElementChildren())+1), xmltree.NewElement("ins"))
+		case r < 8 || !v.IsLeaf():
+			_, err = l.WrapNode(v, xmltree.NewElement("wrap"))
+		default:
+			err = l.Delete(v)
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	return l
+}
+
+// TestMarshalMatchesGolden holds Marshal to the bytes in testdata/marshal-v1
+// and checks that each golden stream restores and re-marshals unchanged.
+func TestMarshalMatchesGolden(t *testing.T) {
+	for i, opts := range goldenMarshalOptions {
+		var got bytes.Buffer
+		if err := goldenStorm(t, opts).Marshal(&got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "marshal-v1", fmt.Sprintf("%d.bin", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("options %+v: Marshal wrote %d bytes differing from the %d golden bytes", opts, got.Len(), len(want))
+		}
+		back, err := Unmarshal(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("options %+v: golden stream: %v", opts, err)
+		}
+		var again bytes.Buffer
+		if err := back.Marshal(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), want) {
+			t.Errorf("options %+v: golden stream re-marshals differently", opts)
+		}
 	}
 }

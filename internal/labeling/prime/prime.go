@@ -569,10 +569,11 @@ func (l *Labeling) Before(a, b *xmltree.Node) (bool, error) {
 func (l *Labeling) SCTable() *order.Table { return l.sct }
 
 // Check verifies every internal invariant: each label is parent label ×
-// self label, self primes are unique, power-of-two exponents are unique per
-// parent, the label-size histogram equals a recount of the live labels,
-// and (when tracking order) the SC table is consistent and agrees with
-// document order. Tests call this after every mutation.
+// self label, labels and self primes are unique, power-of-two self-labels
+// sit only on Opt2 leaves and Opt2 never uses prime 2, the label-size
+// histogram equals a recount of the live labels, and (when tracking order)
+// the SC table is consistent and agrees with document order. Tests call
+// this after every mutation.
 func (l *Labeling) Check() error {
 	seenPrime := make(map[uint64]*xmltree.Node)
 	seenLabel := make(map[string]*xmltree.Node)
@@ -619,6 +620,17 @@ func (l *Labeling) Check() error {
 				fail = fmt.Errorf("prime: self label %d of %s is composite", nl.selfPrime, xmltree.PathTo(n))
 				return false
 			}
+		}
+		// Property 3 reads an even label as a leaf's, so under Opt2 only
+		// leaves are self-labelled 2^k and prime 2 is never used; without
+		// Opt2 no self-label is a power of two above 2.
+		if nl.exp > 0 && (!l.opts.PowerOfTwoLeaves || !n.IsLeaf() || nl.selfPrime != 0) {
+			fail = fmt.Errorf("prime: %s self-labelled 2^%d is not an Opt2 leaf", xmltree.PathTo(n), nl.exp)
+			return false
+		}
+		if nl.selfPrime == 2 && l.opts.PowerOfTwoLeaves {
+			fail = fmt.Errorf("prime: %s self-labelled 2 under Opt2", xmltree.PathTo(n))
+			return false
 		}
 		return true
 	})

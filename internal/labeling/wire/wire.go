@@ -1,8 +1,9 @@
-// Package wire provides the shared binary primitives the labeling
-// persistence codecs are built from: a varint-packed writer/reader pair with
-// sticky error handling, plus a preorder tree serializer that interleaves
-// per-element label payloads with the XML structure — the same layout the
-// prime scheme's persist format pioneered.
+// Package wire provides the shared binary primitives every labeling
+// persistence codec (prime, interval, prefix, Dewey, float and compact) is
+// written with: a varint-packed writer/reader pair with sticky error
+// handling, plus a preorder tree serializer that interleaves per-element
+// label payloads with the XML structure. The codecs check what they read
+// (see codec.Unmarshal); wire only bounds lengths and counts.
 //
 // Streams written with this package are internal formats: they are versioned
 // by each scheme's magic header and carry no cross-version compatibility

@@ -4,10 +4,10 @@ package server
 // of labor is strict — persist knows files and framing, this file knows
 // locking and document lifecycle. Every on-disk mutation happens with the
 // affected document's mutex held in a mode that excludes conflicting
-// writers: journal appends under the write lock (Store.Update), snapshots
-// under at least the read lock (which excludes appends, so a snapshot and a
-// journal truncation form one atomic compaction from the journal's point of
-// view).
+// writers: journal appends under the write lock (Store.UpdateBatch),
+// snapshots under at least the read lock (which excludes appends, so a
+// snapshot and a journal truncation form one atomic compaction from the
+// journal's point of view).
 
 import (
 	"context"
@@ -195,49 +195,33 @@ func (s *Store) compact(d *document) {
 // hold the write lock (or own the unpublished document). On a divergence
 // error the document's state is partially mutated and must be discarded.
 func (d *document) replayRecord(rec persist.Record, what string, base error) (patched bool, err error) {
-	allPatched := true
-	if len(rec.Ops) > 0 {
-		// A batch record: replay its ops in order, verifying each op's
-		// journaled outcome and the batch-final gen/relabeled totals.
-		for oi, op := range rec.Ops {
-			count, n, applied, opErr := d.applyOp(op.Req)
-			if !applied {
-				return allPatched, fmt.Errorf("%w: %s op %d rejected on replay: %v", base, what, oi, opErr)
-			}
-			if !d.reindex(op.Req, n, opErr) {
-				allPatched = false
-			}
-			d.relabeled += uint64(count)
-			if count != op.Count || (opErr != nil) != op.Failed {
-				return allPatched, fmt.Errorf("%w: %s op %d replay diverged (count %d want %d, failed %v want %v)",
-					base, what, oi, count, op.Count, opErr != nil, op.Failed)
-			}
+	patched = true
+	for oi, op := range rec.OpList() {
+		count, n, applied, opErr := d.applyOp(op.Req)
+		if !applied {
+			return patched, fmt.Errorf("%w: %s op %d rejected on replay: %v", base, what, oi, opErr)
 		}
-		if d.gen != rec.Gen || d.relabeled != rec.Relabeled {
-			return allPatched, fmt.Errorf("%w: %s batch replay diverged (gen %d want %d, relabeled %d want %d)",
-				base, what, d.gen, rec.Gen, d.relabeled, rec.Relabeled)
+		if !d.reindex(op.Req, n, opErr) {
+			patched = false
 		}
-		return allPatched, nil
+		d.relabeled += uint64(count)
+		if count != op.Count || (opErr != nil) != op.Failed {
+			return patched, fmt.Errorf("%w: %s op %d replay diverged (count %d want %d, failed %v want %v)",
+				base, what, oi, count, op.Count, opErr != nil, op.Failed)
+		}
 	}
-	count, n, applied, opErr := d.applyOp(rec.Req)
-	if !applied {
-		return allPatched, fmt.Errorf("%w: %s rejected on replay: %v", base, what, opErr)
+	if d.gen != rec.Gen || d.relabeled != rec.Relabeled {
+		return patched, fmt.Errorf("%w: %s replay diverged (gen %d want %d, relabeled %d want %d)",
+			base, what, d.gen, rec.Gen, d.relabeled, rec.Relabeled)
 	}
-	if !d.reindex(rec.Req, n, opErr) {
-		allPatched = false
-	}
-	d.relabeled += uint64(count)
-	if d.gen != rec.Gen || count != rec.Count || d.relabeled != rec.Relabeled || (opErr != nil) != rec.Failed {
-		return allPatched, fmt.Errorf("%w: %s replay diverged (gen %d want %d, count %d want %d, relabeled %d want %d, failed %v want %v)",
-			base, what, d.gen, rec.Gen, count, rec.Count, d.relabeled, rec.Relabeled, opErr != nil, rec.Failed)
-	}
-	return allPatched, nil
+	return patched, nil
 }
 
 // retire detaches a document's journal under its write lock, turning it
 // non-durable. The caller closes the returned journal (nil if the document
-// had none) outside the lock. Used when a document is replaced or deleted
-// so the outgoing instance cannot write to files the successor owns.
+// had none) outside the lock. swap retires every document it replaces or
+// unpublishes, so the outgoing instance cannot write to files the
+// successor owns.
 func retire(d *document) *persist.Journal {
 	d.mu.Lock()
 	j := d.journal
@@ -342,15 +326,7 @@ func (s *Store) recoverOne(name string) error {
 	}
 	// meta.Planner is ignored: a snapshot written when labeld still served
 	// other planners loads onto the extent planner like any other.
-	d := &document{
-		name:       name,
-		lab:        lab,
-		cache:      newQueryCache(s.cacheCap),
-		gen:        meta.Generation,
-		relabeled:  meta.Relabeled,
-		fenceEpoch: meta.FenceEpoch,
-	}
-	d.table = newTable(lab)
+	d := s.newDocument(name, lab, meta)
 
 	records, validEnd, err := s.persist.ReplayJournal(name)
 	if err != nil {
@@ -381,14 +357,7 @@ func (s *Store) recoverOne(name string) error {
 	}
 	d.journal = j
 	d.durable = true
-
-	s.mu.Lock()
-	_, existed := s.docs[name]
-	s.docs[name] = d
-	s.mu.Unlock()
-	if !existed {
-		s.metrics.documents.Add(1)
-	}
+	s.swap(name, d)
 	s.metrics.replayedRecords.Add(uint64(replayed))
 	s.metrics.recoveredDocs.Add(1)
 	return nil

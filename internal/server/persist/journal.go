@@ -27,36 +27,36 @@ const maxRecordLen = 1 << 20
 // payload length followed by a 4-byte CRC-32 (IEEE) of the payload.
 const frameHeaderLen = 8
 
-// Record is one journaled update: the request that was applied plus the
-// state counters it produced, which recovery uses both to skip records
-// already covered by a snapshot (Gen) and to verify that replay reproduced
-// the original outcome exactly (Count, Relabeled, Failed).
+// Record is one journaled update: the ops that were applied plus the state
+// counters they produced, which recovery uses both to skip records already
+// covered by a snapshot (Gen) and to verify that replay reproduced the
+// original outcome exactly (each op's Count and Failed, then Relabeled).
 //
-// A batched update is one Record carrying the whole batch in Ops: the frame
-// CRC then covers the batch as a unit, so crash recovery replays a prefix of
-// whole batches and can never observe a torn one. When Ops is non-empty the
-// top-level Req/Count/Failed fields are unused; Gen and Relabeled describe
-// the state after the last op of the batch.
+// A record holds one request, single update or batch, in one of two shapes
+// (see NewRecord). A one-op record carries its op in the top-level Req,
+// Count and Failed fields. A record of more ops carries them in Ops, and
+// its top-level Req, Count and Failed are unused. Either way the frame CRC
+// covers the request as a unit, so crash recovery replays a prefix of whole
+// batches and can never observe a torn one. Journals written before one-op
+// batches took the single-op shape may hold one-op records in Ops; OpList
+// reads both shapes, and nothing outside this package tells them apart.
 type Record struct {
-	// Gen is the document generation after this update (or batch) was
-	// applied.
+	// Gen is the document generation after the record's last op applied.
 	Gen uint64 `json:"gen"`
-	// Relabeled is the document's cumulative relabel counter after this
-	// update (or batch).
+	// Relabeled is the document's cumulative relabel counter after the
+	// record's last op.
 	Relabeled uint64 `json:"relabeled"`
-	// Count is this update's own relabel count (single-op records only).
+	// Count is the op's own relabel count (one-op records only).
 	Count int `json:"count"`
 	// Failed records that the labeling operation returned an error after
 	// mutating state (the server still advances the generation in that
-	// case, so replay must reproduce the failure too). Single-op records
-	// only; batch ops carry their own flag.
+	// case, so replay must reproduce the failure too). One-op records only;
+	// ops in Ops carry their own flag.
 	Failed bool `json:"failed,omitempty"`
-	// Req is the update request as applied, with any generation pin
-	// stripped (replay applies records unconditionally, in order).
-	// Single-op records only.
+	// Req is the update request as applied, with no generation pin (replay
+	// applies records unconditionally, in order). One-op records only.
 	Req api.UpdateRequest `json:"req"`
-	// Ops, when non-empty, makes this a batch record: the ops as applied,
-	// in order. A batch is atomic on disk — one frame, one CRC.
+	// Ops, when non-empty, holds the record's ops as applied, in order.
 	Ops []OpRecord `json:"ops,omitempty"`
 	// TraceID is the trace ID of the request that produced this record.
 	// Replication streams records verbatim, so the ID reaches every follower
@@ -73,16 +73,38 @@ type Record struct {
 	Fence uint64 `json:"fence,omitempty"`
 }
 
-// OpRecord is one operation inside a batch Record, with the same per-op
-// outcome fields recovery verifies for single-op records.
+// OpRecord is one applied op with the outcome recovery verifies.
 type OpRecord struct {
-	// Req is the op as applied (generation pin stripped).
+	// Req is the op as applied, with no generation pin.
 	Req api.UpdateRequest `json:"req"`
 	// Count is the op's relabel count.
 	Count int `json:"count"`
 	// Failed records an op that errored after mutating state; it is always
-	// the last op of its batch (the server stops the batch there).
+	// the last op of its record (the server stops a batch there).
 	Failed bool `json:"failed,omitempty"`
+}
+
+// NewRecord builds the record for ops, applied in order, that left the
+// document at generation gen with cumulative relabel count relabeled. One
+// op goes in the single-op fields, the shape single updates have always
+// been journaled in; more go in Ops. The caller sets TraceID and Fence.
+func NewRecord(gen, relabeled uint64, ops []OpRecord) Record {
+	rec := Record{Gen: gen, Relabeled: relabeled}
+	if len(ops) == 1 {
+		rec.Req, rec.Count, rec.Failed = ops[0].Req, ops[0].Count, ops[0].Failed
+	} else {
+		rec.Ops = ops
+	}
+	return rec
+}
+
+// OpList returns the record's ops in order, whichever shape it was written
+// in. A record advances its document's generation by len(OpList()).
+func (r Record) OpList() []OpRecord {
+	if len(r.Ops) > 0 {
+		return r.Ops
+	}
+	return []OpRecord{{Req: r.Req, Count: r.Count, Failed: r.Failed}}
 }
 
 // AppendStats reports the outcome of one journal append, for metrics and

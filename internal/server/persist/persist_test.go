@@ -451,6 +451,34 @@ func TestJournalBatchRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordShapes checks that NewRecord puts one op in the single-op
+// fields and more in Ops, and that OpList reads every shape back,
+// including a one-op record in Ops as older servers wrote it.
+func TestRecordShapes(t *testing.T) {
+	ops := []OpRecord{
+		{Req: api.UpdateRequest{Op: api.OpInsert, Parent: 1, Tag: "b"}, Count: 4},
+		{Req: api.UpdateRequest{Op: api.OpWrap, Target: 1, Tag: "w"}, Count: 5, Failed: true},
+	}
+	one := NewRecord(3, 9, ops[1:])
+	want := Record{Gen: 3, Relabeled: 9, Req: ops[1].Req, Count: 5, Failed: true}
+	if !reflect.DeepEqual(one, want) {
+		t.Errorf("NewRecord of one op = %+v, want %+v", one, want)
+	}
+	two := NewRecord(4, 13, ops)
+	if want := (Record{Gen: 4, Relabeled: 13, Ops: ops}); !reflect.DeepEqual(two, want) {
+		t.Errorf("NewRecord of two ops = %+v, want %+v", two, want)
+	}
+	old := Record{Gen: 3, Relabeled: 9, Ops: ops[1:]}
+	for _, c := range []struct {
+		rec  Record
+		want []OpRecord
+	}{{one, ops[1:]}, {two, ops}, {old, ops[1:]}} {
+		if got := c.rec.OpList(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%+v.OpList() = %+v, want %+v", c.rec, got, c.want)
+		}
+	}
+}
+
 // TestJournalCommitAfterClose: commits raced by Close must fail rather than
 // report durability they cannot guarantee.
 func TestJournalCommitAfterClose(t *testing.T) {

@@ -160,28 +160,10 @@ func (s *Store) InstallSnapshot(ctx context.Context, name string, image []byte) 
 		return 0, fmt.Errorf("replica snapshot names %q, want %q", meta.Name, name)
 	}
 	// meta.Planner is ignored, as in recovery.
-
-	s.mu.Lock()
-	old, existed := s.docs[name]
-	delete(s.docs, name)
-	s.mu.Unlock()
-	if existed {
-		s.metrics.documents.Add(-1)
-		if j := retire(old); j != nil {
-			j.Close()
-		}
-	}
+	s.swap(name, nil)
 
 	endIndex := trace.Start(ctx, trace.StageIndex)
-	d := &document{
-		name:       name,
-		lab:        lab,
-		cache:      newQueryCache(s.cacheCap),
-		gen:        meta.Generation,
-		relabeled:  meta.Relabeled,
-		fenceEpoch: meta.FenceEpoch,
-	}
-	d.table = newTable(lab)
+	d := s.newDocument(name, lab, meta)
 	endIndex()
 
 	if s.persist != nil && codec.Supported(lab) {
@@ -201,10 +183,7 @@ func (s *Store) InstallSnapshot(ctx context.Context, name string, image []byte) 
 		d.durable = true
 	}
 
-	s.mu.Lock()
-	s.docs[name] = d
-	s.mu.Unlock()
-	s.metrics.documents.Add(1)
+	s.swap(name, d)
 	return meta.Generation, nil
 }
 
@@ -250,10 +229,7 @@ func (s *Store) applyRecordLocked(ctx context.Context, d *document, rec persist.
 	// Continuity check before touching anything: the record must advance the
 	// local generation by exactly its op count, or the stream skipped
 	// records we never saw.
-	steps := uint64(1)
-	if len(rec.Ops) > 0 {
-		steps = uint64(len(rec.Ops))
-	}
+	steps := uint64(len(rec.OpList()))
 	if d.gen+steps != rec.Gen {
 		return d.gen, nil, fmt.Errorf("%w: record generation %d does not follow local generation %d (+%d ops)",
 			replica.ErrDiverged, rec.Gen, d.gen, steps)
@@ -336,16 +312,8 @@ func (s *Store) Rebase(ctx context.Context, name string, primary replica.DigestR
 	if s.persist == nil {
 		return 0, false, nil
 	}
-	s.mu.Lock()
-	d, ok := s.docs[name]
-	delete(s.docs, name)
-	s.mu.Unlock()
-	if !ok {
+	if s.swap(name, nil) == nil {
 		return 0, false, nil
-	}
-	s.metrics.documents.Add(-1)
-	if j := retire(d); j != nil {
-		j.Close()
 	}
 	// From here on any failure leaves the document unpublished; the
 	// fallback path (Drop + snapshot re-sync) handles that state.
@@ -414,16 +382,7 @@ func (s *Store) Rebase(ctx context.Context, name string, primary replica.DigestR
 // implementing replica.Target. Unlike Delete it treats a missing document
 // as success — drops race deletions on the primary by design.
 func (s *Store) Drop(name string) error {
-	s.mu.Lock()
-	d, ok := s.docs[name]
-	delete(s.docs, name)
-	s.mu.Unlock()
-	if ok {
-		s.metrics.documents.Add(-1)
-		if j := retire(d); j != nil {
-			j.Close()
-		}
-	}
+	s.swap(name, nil)
 	if s.persist != nil {
 		if err := s.persist.Remove(name); err != nil {
 			s.metrics.persistErrors.Add(1)

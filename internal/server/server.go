@@ -737,43 +737,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return s.store.Close()
 }
-
-// ListenAndServe runs the server until ctx is canceled, then shuts down
-// gracefully. It is the blocking entry point cmd/labeld uses.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	if err := s.startDebug(); err != nil {
-		ln.Close()
-		return fmt.Errorf("server: debug listener: %w", err)
-	}
-	s.ln = ln
-	errc := make(chan error, 1)
-	go func() { errc <- s.httpSrv.Serve(ln) }()
-	s.startFollower()
-	if s.cluster != nil {
-		s.cluster.Start()
-	}
-	select {
-	case err := <-errc:
-		s.stopDebug()
-		s.stopReplication()
-		return err
-	case <-ctx.Done():
-	}
-	s.stopDebug()
-	s.stopReplication()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-	defer cancel()
-	if err := s.httpSrv.Shutdown(shutdownCtx); err != nil {
-		s.store.Close()
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		s.store.Close()
-		return err
-	}
-	return s.store.Close()
-}

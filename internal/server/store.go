@@ -192,28 +192,11 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 		return api.DocInfo{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	endIndex := trace.Start(ctx, trace.StageIndex)
-	table := newTable(lab)
+	d := s.newDocument(name, lab, persist.Meta{})
 	endIndex()
-	d := &document{
-		name:  name,
-		lab:   lab,
-		table: table,
-		cache: newQueryCache(s.cacheCap),
-	}
-	s.mu.Lock()
-	old, existed := s.docs[name]
-	s.docs[name] = d
-	s.mu.Unlock()
-	if !existed {
-		s.metrics.documents.Add(1)
-	}
-	if existed {
-		// The replaced instance must stop journaling before the new one
-		// takes over the on-disk files.
-		if j := retire(old); j != nil {
-			j.Close()
-		}
-	}
+	// The replaced instance, if any, stops journaling here, before the new
+	// one takes over the on-disk files.
+	s.swap(name, d)
 	if s.persist != nil {
 		if !codec.Supported(lab) {
 			// Hosted non-durable; clear any persisted state from a previous
@@ -232,6 +215,46 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 	return info, nil
 }
 
+// newDocument builds an unpublished document serving lab, with its element
+// table, at the generation, relabel count and fencing epoch meta records
+// (all zero for a fresh load). Every document the store hosts comes from
+// here.
+func (s *Store) newDocument(name string, lab labeling.Labeling, meta persist.Meta) *document {
+	return &document{
+		name:       name,
+		lab:        lab,
+		table:      newTable(lab),
+		cache:      newQueryCache(s.cacheCap),
+		gen:        meta.Generation,
+		relabeled:  meta.Relabeled,
+		fenceEpoch: meta.FenceEpoch,
+	}
+}
+
+// swap publishes d under name, or unpublishes name when d is nil, and
+// returns the document it replaced (nil if none). The labeld_documents
+// gauge follows the registry's size, and the replaced document's journal is
+// retired and closed, so it can no longer write to files its successor
+// owns; requests already holding it finish against it. swap is the only
+// code that changes the registry.
+func (s *Store) swap(name string, d *document) *document {
+	s.mu.Lock()
+	old := s.docs[name]
+	if d != nil {
+		s.docs[name] = d
+	} else {
+		delete(s.docs, name)
+	}
+	s.metrics.documents.Store(int64(len(s.docs)))
+	s.mu.Unlock()
+	if old != nil {
+		if j := retire(old); j != nil {
+			j.Close()
+		}
+	}
+	return old
+}
+
 // get looks a document up.
 func (s *Store) get(name string) (*document, error) {
 	s.mu.RLock()
@@ -247,16 +270,8 @@ func (s *Store) get(name string) (*document, error) {
 // state. In-flight requests holding the old document finish against it; new
 // requests see 404.
 func (s *Store) Delete(ctx context.Context, name string) error {
-	s.mu.Lock()
-	d, ok := s.docs[name]
-	delete(s.docs, name)
-	s.mu.Unlock()
-	if !ok {
+	if s.swap(name, nil) == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownDocument, name)
-	}
-	s.metrics.documents.Add(-1)
-	if j := retire(d); j != nil {
-		j.Close()
 	}
 	if s.persist != nil {
 		if err := s.persist.Remove(name); err != nil {
@@ -640,96 +655,24 @@ func (s *Store) observeReindex(patched bool) {
 	}
 }
 
-// Update applies one dynamic update under the document's write lock, then
-// reindexes — incrementally patching the element table when the op allows
-// it, rebuilding it otherwise — and advances the generation
-// (which is what invalidates cached query results). When the document is durable the record is
-// appended under the lock and made stable after it is released, so
-// concurrent updates to the same document coalesce onto one fsync (group
-// commit); a journal failure fails the request and retires the journal so
-// recovery never replays past a hole.
-//
-// Generation and counter semantics: a validation failure (unknown op, bad
-// node id, missing tag) mutates nothing and does not advance the
-// generation — a client retrying with its pinned generation will not see a
-// spurious conflict. A labeling error after validation may have mutated
-// state partway, so it advances the generation and is journaled with its
-// failure flag. labeld_updates_total counts only acknowledged successes
-// (applied, journaled and — with fsync on — synced); every other outcome
-// lands in labeld_update_failures_total.
-//
-// A trace carried by ctx records lock_wait, relabel, reindex and — on a
-// durable document — journal_append, journal_group_wait and journal_fsync
-// spans, the breakdown that answers "why was this update slow?".
+// Update applies one dynamic update as a one-op UpdateBatch, with the
+// request's generation pin moved onto the batch, and maps the op's result
+// back. A labeling failure, which UpdateBatch reports in the op's result,
+// comes back as an ErrBadRequest error carrying the labeling's text; the op
+// was applied and journaled all the same. Generation, counter, journaling
+// and trace semantics are UpdateBatch's.
 func (s *Store) Update(ctx context.Context, name string, req api.UpdateRequest) (api.UpdateResponse, error) {
-	d, err := s.get(name)
+	batch := api.BatchUpdateRequest{Ops: []api.UpdateRequest{req}, Generation: req.Generation}
+	batch.Ops[0].Generation = nil
+	resp, err := s.UpdateBatch(ctx, name, batch)
 	if err != nil {
 		return api.UpdateResponse{}, err
 	}
-	resp, commit, opErr := s.updateOne(ctx, d, req)
-	var commitErr error
-	if commit != nil {
-		commitErr = s.commitJournal(ctx, d, commit)
+	res := resp.Results[0]
+	if res.Error != "" {
+		return api.UpdateResponse{}, fmt.Errorf("%w: %s", ErrBadRequest, res.Error)
 	}
-	if opErr == nil {
-		opErr = commitErr
-	}
-	if opErr != nil {
-		s.metrics.updateFailures.Add(1)
-		return api.UpdateResponse{}, opErr
-	}
-	s.metrics.updates.Add(1)
-	s.metrics.relabeled.Add(uint64(resp.Relabeled))
-	return resp, nil
-}
-
-// updateOne is Update's write-lock critical section: apply, reindex,
-// journal-append, build the response. The returned pendingCommit (nil on a
-// non-durable document or when nothing was journaled) must be committed
-// after the lock is released.
-func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateRequest) (api.UpdateResponse, *pendingCommit, error) {
-	endLock := trace.Start(ctx, trace.StageLockWait)
-	d.mu.Lock()
-	endLock()
-	defer d.mu.Unlock()
-	if err := d.checkGeneration(req.Generation); err != nil {
-		return api.UpdateResponse{}, nil, err
-	}
-
-	endRelabel := trace.Start(ctx, trace.StageRelabel)
-	count, n, applied, opErr := d.applyOp(req)
-	endRelabel()
-	if !applied {
-		return api.UpdateResponse{}, nil, opErr
-	}
-
-	// Reindex unconditionally: the table must reflect whatever state the
-	// labeling is in now.
-	endReindex := trace.Start(ctx, trace.StageReindex)
-	patched := d.reindex(req, n, opErr)
-	endReindex()
-	s.observeReindex(patched)
-	d.relabeled += uint64(count)
-
-	var commit *pendingCommit
-	if d.journal != nil {
-		rec := persist.Record{Gen: d.gen, Relabeled: d.relabeled, Count: count, Failed: opErr != nil, Req: req,
-			TraceID: trace.ID(ctx), Fence: d.fenceEpoch}
-		rec.Req.Generation = nil // replay applies records unconditionally
-		var err error
-		if commit, err = s.journalAppendLocked(ctx, d, rec); err != nil {
-			return api.UpdateResponse{}, nil, err
-		}
-	}
-	if opErr != nil {
-		return api.UpdateResponse{}, commit, fmt.Errorf("%w: %v", ErrBadRequest, opErr)
-	}
-	// A deleted node has no row, so a delete reports node -1.
-	nodeID := -1
-	if id, ok := d.table.RowOf(n); ok {
-		nodeID = id
-	}
-	return api.UpdateResponse{Generation: d.gen, Relabeled: count, Node: nodeID}, commit, nil
+	return api.UpdateResponse{Generation: resp.Generation, Relabeled: res.Relabeled, Node: res.Node}, nil
 }
 
 // maxBatchOps caps the ops accepted in one batch request, bounding both the
@@ -738,11 +681,33 @@ func (s *Store) updateOne(ctx context.Context, d *document, req api.UpdateReques
 const maxBatchOps = 1024
 
 // UpdateBatch applies a sequence of updates under one write-lock
-// acquisition with — on a durable document — one journal record and one group-committed fsync, instead of paying each of
-// those per op. Ops apply in order against the state the previous op left;
-// the batch stops at the first failure and earlier ops stay applied (the
-// response's Failed field reports the stopping index). Generation and
-// counter semantics per op match Update exactly.
+// acquisition, then — on a durable document — appends one journal record
+// for the whole batch under the lock and makes it stable after the lock is
+// released, so concurrent writers to the same document coalesce onto one
+// fsync (group commit). Ops apply in order against the state the previous
+// op left; each op's labeling mutation is followed by its index
+// maintenance, which patches the element table in place or rebuilds it.
+// The batch stops at the first failure and earlier ops stay applied (the
+// response's Failed field reports the stopping index). A journal failure
+// fails the request and retires the journal, so recovery never replays
+// past a hole.
+//
+// Generation and counter semantics, per op: a validation failure (unknown
+// op, bad node id, missing tag) mutates nothing and does not advance the
+// generation — a client retrying with its pinned generation will not see a
+// spurious conflict. When the first op fails validation the request fails
+// outright. A labeling error after validation may have mutated state
+// partway, so it advances the generation, is journaled with its failure
+// flag and is reported in the op's result. labeld_updates_total counts
+// only acknowledged successful ops (applied, journaled and — with fsync
+// on — synced); every other outcome, once per request, lands in
+// labeld_update_failures_total, except that a failed commit counts every
+// attempted op.
+//
+// A trace carried by ctx records lock_wait, one relabel and one reindex
+// span (the totals over the batch's ops) and — on a durable document —
+// journal_append, journal_group_wait and journal_fsync spans, the
+// breakdown that answers "why was this update slow?".
 func (s *Store) UpdateBatch(ctx context.Context, name string, req api.BatchUpdateRequest) (api.BatchUpdateResponse, error) {
 	if len(req.Ops) == 0 {
 		return api.BatchUpdateResponse{}, fmt.Errorf("%w: empty batch", ErrBadRequest)
@@ -820,7 +785,7 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		if !applied {
 			if i == 0 {
 				// Nothing in the batch touched the document; fail the
-				// request outright, exactly like a single update would.
+				// request outright.
 				observe()
 				return api.BatchUpdateResponse{}, nil, 0, opErr
 			}
@@ -833,8 +798,8 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 		s.observeReindex(patched)
 		d.relabeled += uint64(count)
 		resp.Relabeled += count
+		// UpdateBatch admits no per-op pin, so op goes to the journal as is.
 		ops = append(ops, persist.OpRecord{Req: op, Count: count, Failed: opErr != nil})
-		ops[len(ops)-1].Req.Generation = nil
 		res := api.BatchOpResult{Relabeled: count, Node: -1}
 		if opErr != nil {
 			res.Error = opErr.Error()
@@ -860,8 +825,8 @@ func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.Batc
 
 	var commit *pendingCommit
 	if d.journal != nil && len(ops) > 0 {
-		rec := persist.Record{Gen: d.gen, Relabeled: d.relabeled, Ops: ops, TraceID: trace.ID(ctx),
-			Fence: d.fenceEpoch}
+		rec := persist.NewRecord(d.gen, d.relabeled, ops)
+		rec.TraceID, rec.Fence = trace.ID(ctx), d.fenceEpoch
 		var err error
 		if commit, err = s.journalAppendLocked(ctx, d, rec); err != nil {
 			return api.BatchUpdateResponse{}, nil, 0, err

@@ -1,6 +1,9 @@
 package primelabel
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -134,6 +137,40 @@ func TestSaveRoundTripDoubleRestore(t *testing.T) {
 		}
 		if first.String() != second.String() {
 			t.Errorf("%s: save stream changed after a restore cycle", cfg.Scheme)
+		}
+	}
+}
+
+// TestLoadSavedBarePrimeStream loads bare prime streams, which carry no
+// codec header: internal/labeling/prime's golden Marshal output, written
+// before that codec moved onto internal/labeling/wire. Each loads as a
+// prime document that validates, answers queries and takes updates.
+func TestLoadSavedBarePrimeStream(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("internal", "labeling", "prime", "testdata", "marshal-v1", "*.bin"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("golden streams: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := LoadSaved(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if doc.cfg.Scheme != Prime {
+			t.Errorf("%s: loaded as %q", f, doc.cfg.Scheme)
+		}
+		if err := doc.Validate(); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+		hits, err := doc.Query("//*")
+		if err != nil || len(hits) != doc.Stats().Elements {
+			t.Errorf("%s: //* gave %d of %d elements, err %v", f, len(hits), doc.Stats().Elements, err)
+		}
+		if _, _, err := doc.InsertChild(doc.Root(), 0, "n"); err != nil {
+			t.Errorf("%s: insert after load: %v", f, err)
 		}
 	}
 }
