@@ -21,12 +21,17 @@ vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 
-# lint enforces the godoc contract on the server packages and the element
-# table and SC-order packages beneath them (every exported identifier must
-# document its concurrency/durability behavior) and checks that
-# docs/LABELING.md has a section for every registered labeling scheme.
+# lint checks that gofmt has nothing to change in the repository's Go
+# sources (.bench_build/ holds perfbench's module cache, not ours), enforces
+# the godoc contract on the server packages, the element table and
+# SC-order packages beneath them and the labeling stack (every exported
+# identifier must be documented, and the server's must state their
+# concurrency/durability behavior), and checks that docs/LABELING.md has a
+# section for every registered labeling scheme.
 lint:
-	$(GO) run ./cmd/doccheck -schemes-doc docs/LABELING.md ./internal/server ./internal/server/api ./internal/server/client ./internal/server/persist ./internal/server/replica ./internal/server/trace ./internal/hist ./internal/buildinfo ./internal/labeling/compact ./internal/server/querystats ./internal/server/cluster ./internal/rdb ./internal/order
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
+	$(GO) run ./cmd/doccheck -schemes-doc docs/LABELING.md ./internal/server ./internal/server/api ./internal/server/client ./internal/server/persist ./internal/server/replica ./internal/server/trace ./internal/hist ./internal/buildinfo ./internal/labeling/compact ./internal/server/querystats ./internal/server/cluster ./internal/rdb ./internal/order ./internal/labeling ./internal/labeling/codec ./internal/labeling/wire ./internal/labeling/prime ./internal/labeling/prefix ./internal/xpath ./internal/xmltree ./internal/primes ./internal/numtheory
 
 test:
 	$(GO) test ./...
@@ -37,7 +42,8 @@ race:
 # fuzz seeds the journal frame scanner with 10s of random torn/corrupt
 # inputs on top of the checked-in corpus, then the streaming frame decoder
 # (the replication wire format) with the same treatment, the labeling codec
-# (every stream it accepts must label its tree consistently), the extent
+# (every stream it accepts must label its tree consistently, and stay so
+# through an insert and a wrap), the extent
 # join planner against the label oracle, the element-table executor the
 # library and labeld share against the tree-walking XPath reference, and the
 # SC table against fresh CRT solves after every random insert, delete,

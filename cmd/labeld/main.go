@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("labeld", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	cache := fs.Int("cache", 256, "per-document query cache capacity (negative disables)")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request handling timeout")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline: a request that has not taken its document lock, or finished evaluating or parsing, by then answers 503 and changes nothing")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown grace period")
 	preload := fs.String("preload", "", "XML file to load at startup (document name = file basename)")
 	scheme := fs.String("scheme", "prime", "labeling scheme for -preload")

@@ -44,10 +44,14 @@ func fuzzSeedDoc(t testing.TB) *xmltree.Document {
 // FuzzCodecUnmarshal feeds arbitrary streams to Unmarshal. A stream it
 // accepts must describe a consistent labeling: ancestry decided from the
 // labels agrees with the tree on every pair of elements, and so does
-// document order wherever the labeling answers it. The seeds are Marshal's
-// output for every persistable configuration, after an insert, a wrap and a
-// delete; the checked-in corpus adds streams whose labels contradict their
-// tree.
+// document order wherever the labeling answers it. Its allocator state must
+// also be able to go on: an insert under the root and a wrap of the last
+// element may fail with the scheme's own error, but one that succeeds must
+// leave the labeling consistent (and prime's Check passing). The seeds are
+// Marshal's output for every persistable configuration, after an insert, a
+// wrap and a delete; the checked-in corpus adds streams whose labels
+// contradict their tree and streams whose allocator state lies below what
+// the tree already uses.
 func FuzzCodecUnmarshal(f *testing.F) {
 	for _, name := range SchemeNames() {
 		for _, o := range fuzzOptions {
@@ -98,5 +102,28 @@ func FuzzCodecUnmarshal(f *testing.F) {
 				}
 			}
 		}
+		root := lab.Doc().Root
+		if _, err := lab.InsertChildAt(root, len(root.Children), xmltree.NewElement("fuzz-insert")); err == nil {
+			checkUpdated(t, lab, "insert under the root")
+		}
+		if last := els[len(els)-1]; last != root {
+			if _, err := lab.WrapNode(last, xmltree.NewElement("fuzz-wrap")); err == nil {
+				checkUpdated(t, lab, "wrap of "+xmltree.PathTo(last))
+			}
+		}
 	})
+}
+
+// checkUpdated fails the fuzz run when an update the labeling accepted left
+// it inconsistent with its tree or, for prime, with its own invariants.
+func checkUpdated(t *testing.T, lab labeling.Labeling, update string) {
+	t.Helper()
+	if err := labeling.CheckAgainstTree(lab); err != nil {
+		t.Fatalf("accepted stream, then %s: %v", update, err)
+	}
+	if pl, ok := lab.(*prime.Labeling); ok {
+		if err := pl.Check(); err != nil {
+			t.Fatalf("accepted stream, then %s: %v", update, err)
+		}
+	}
 }

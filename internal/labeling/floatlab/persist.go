@@ -20,6 +20,11 @@ import (
 // fltMagic identifies the float persistence format and version.
 var fltMagic = []byte("FLTLBL\x01")
 
+// maxMagnitude bounds the gap and every label value a stream may carry, so
+// that a midpoint's difference and a renumbering's running sum of gaps stay
+// finite: anything larger, or infinite, could only come from tampering.
+const maxMagnitude = 0x1p960
+
 // Marshal writes the labeled document — gap and renumber state, tree, and
 // every node's label triple — to out in the internal binary format read by
 // Unmarshal.
@@ -51,8 +56,8 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		labels: make(map[*xmltree.Node]*fLabel),
 	}
 	l.Renumber = r.Int()
-	if r.Err() == nil && l.gap <= 0 {
-		r.Fail("non-positive gap %g", l.gap)
+	if r.Err() == nil && !(l.gap > 0 && l.gap <= maxMagnitude) {
+		r.Fail("gap %g outside (0, %g]", l.gap, maxMagnitude)
 	}
 	root, err := wire.ReadTree(r, func(n *xmltree.Node) error {
 		l.labels[n] = &fLabel{start: r.F64(), end: r.F64(), level: r.Int()}
@@ -72,16 +77,17 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 }
 
 // checkRestored validates a just-unmarshaled labeling: root at level 0,
-// start < end everywhere, strict containment and level+1 on every edge, and
-// sibling intervals disjoint and in document order.
+// start < end everywhere within ±maxMagnitude, strict containment and
+// level+1 on every edge, and sibling intervals disjoint and in document
+// order.
 func (l *Labeling) checkRestored() error {
 	if rl := l.labels[l.doc.Root]; rl.level != 0 {
 		return fmt.Errorf("%w: root level %d", wire.ErrBadFormat, rl.level)
 	}
 	for _, n := range xmltree.Elements(l.doc.Root) {
 		nl := l.labels[n]
-		if !(nl.start < nl.end) {
-			return fmt.Errorf("%w: degenerate interval (%g,%g)", wire.ErrBadFormat, nl.start, nl.end)
+		if !(-maxMagnitude <= nl.start && nl.start < nl.end && nl.end <= maxMagnitude) {
+			return fmt.Errorf("%w: interval (%g,%g) is empty or not within ±%g", wire.ErrBadFormat, nl.start, nl.end, maxMagnitude)
 		}
 		var prev *fLabel
 		for _, c := range n.ElementChildren() {

@@ -102,6 +102,13 @@ func (s Scheme) New(doc *xmltree.Document) (*Labeling, error) {
 	return l, nil
 }
 
+// maxSlackRange bounds the range XISS reserves for one subtree. Slack
+// multiplies at every level, so a deep document or a large slack would
+// overflow int; a subtree whose range would pass this bound gets no spare
+// room, so no range exceeds maxSlackRange times its subtree's size and the
+// ranges of any document under 2^22 elements stay inside int.
+const maxSlackRange = 1 << 40
+
 // renumber assigns fresh labels to the whole document and returns how many
 // existing nodes changed (newly labeled nodes are not counted here).
 func (l *Labeling) renumber() int {
@@ -140,10 +147,10 @@ func (l *Labeling) renumber() int {
 				}
 			}
 			// Reserve slack: the advertised size covers the real subtree
-			// plus spare room.
+			// plus spare room, up to maxSlackRange.
 			adv := size + 1
-			if l.slack > 1 {
-				adv = (size + 1) * l.slack
+			if l.slack > 1 && adv <= maxSlackRange/l.slack {
+				adv *= l.slack
 			}
 			changed += l.set(n, order, order+adv-1, level)
 			return order, adv
@@ -307,7 +314,7 @@ func (l *Labeling) tryInsertIntoSlack(parent, n *xmltree.Node) bool {
 			high = cl.b
 		}
 	}
-	if high+1 > pl.b {
+	if high >= pl.b {
 		return false // slack exhausted
 	}
 	l.labels[n] = &ivLabel{a: high + 1, b: high + 1, level: pl.level + 1}

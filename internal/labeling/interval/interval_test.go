@@ -353,3 +353,34 @@ func TestPropertyDynamicMix(t *testing.T) {
 		}
 	}
 }
+
+// TestSlackRangesStayInsideInt labels and extends a 40-deep chain under a
+// slack whose per-level product would overflow int: every range must still
+// nest as the tree does.
+func TestSlackRangesStayInsideInt(t *testing.T) {
+	root := xmltree.NewElement("r")
+	n := root
+	for i := 0; i < 40; i++ {
+		c := xmltree.NewElement("c")
+		if err := n.AppendChild(c); err != nil {
+			t.Fatal(err)
+		}
+		n = c
+	}
+	l, err := Scheme{Variant: XISS, Slack: 1000}.New(xmltree.NewDocument(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labeling.CheckAgainstTree(l); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.WrapNode(n, xmltree.NewElement("w")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.InsertChildAt(root, len(root.Children), xmltree.NewElement("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := labeling.CheckAgainstTree(l); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -67,8 +67,10 @@ func (l *Labeling) Marshal(out io.Writer) error {
 
 // Unmarshal reads a prefix labeling produced by Marshal, recomputing full
 // labels from the stored sibling codes and verifying that every non-root
-// element carries a non-empty code and that sibling codes are prefix-free
-// (and ordered, under OrderPreserving).
+// element carries a code the allocator issues, that sibling codes are
+// prefix-free (and ordered, under OrderPreserving), and that each parent's
+// last issued code sorts at or after every child's, so the next code an
+// insert takes is new.
 func Unmarshal(in io.Reader) (*Labeling, error) {
 	r := wire.NewReader(in)
 	r.Expect(pfxMagic)
@@ -124,10 +126,24 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 // children kids are prefix-free, so that no sibling reads as another's
 // descendant, and, under OrderPreserving, rise in document order. Sorted,
 // a set of codes is prefix-free when no code is a prefix of the next one.
+// It also checks parent's allocator state: every code, and the last issued
+// code unless it is empty, must be one nextSibCode issues, and no code may
+// sort after the last issued one. Issued codes rise in Compare order and
+// are mutually prefix-free, so the code the next append takes is then
+// prefix-free with, and after, every sibling.
 func (l *Labeling) checkSiblingCodes(parent *xmltree.Node, kids []*xmltree.Node) error {
+	last := l.lastCode[parent]
+	if last.Len() > 0 && !l.scheme.issuable(last) {
+		return fmt.Errorf("%w: last issued code %s under %s is not a sibling code",
+			wire.ErrBadFormat, last, xmltree.PathTo(parent))
+	}
 	codes := make([]Bits, len(kids))
 	for i, c := range kids {
 		codes[i] = l.labels[c].code
+		if !l.scheme.issuable(codes[i]) || codes[i].Compare(last) > 0 {
+			return fmt.Errorf("%w: sibling code %s under %s was never issued (last issued %s)",
+				wire.ErrBadFormat, codes[i], xmltree.PathTo(parent), last)
+		}
 	}
 	if !l.scheme.OrderPreserving {
 		slices.SortFunc(codes, Bits.Compare)

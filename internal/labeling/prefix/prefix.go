@@ -21,6 +21,7 @@ const (
 	Prefix2
 )
 
+// String returns the variant's scheme name, "prefix-1" or "prefix-2".
 func (v Variant) String() string {
 	switch v {
 	case Prefix1:
@@ -74,6 +75,25 @@ func (s Scheme) nextSibCode(prev Bits) Bits {
 		next := prev.incrementOrExtend()
 		return next
 	}
+}
+
+// issuable reports whether nextSibCode issues code c in some sequence: for
+// Prefix1 n-1 ones then a zero, for Prefix2 a length n = 2^j whose first
+// n/2 bits are ones and whose other bits are not all ones.
+func (s Scheme) issuable(c Bits) bool {
+	n, ones := c.Len(), c.Len()-1
+	if s.Variant == Prefix2 {
+		if n&(n-1) != 0 {
+			return false
+		}
+		ones = n / 2
+	}
+	for i := 0; i < n; i++ {
+		if c.Bit(i) == 0 {
+			return i >= ones
+		}
+	}
+	return false
 }
 
 type pfxLabel struct {

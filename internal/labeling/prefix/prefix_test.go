@@ -1,6 +1,8 @@
 package prefix
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -515,5 +517,67 @@ func TestPrefixInsertValidation(t *testing.T) {
 	_ = withKids.AppendChild(xmltree.NewElement("q"))
 	if _, err := l.InsertChildAt(ns["a"], 0, withKids); err == nil {
 		t.Error("non-childless insert should fail")
+	}
+}
+
+// TestIssuableMatchesAllocator checks issuable against nextSibCode: among
+// all bit strings of up to 8 bits, exactly the codes the allocator issues
+// are issuable, for both variants.
+func TestIssuableMatchesAllocator(t *testing.T) {
+	for _, s := range []Scheme{{Variant: Prefix1}, {Variant: Prefix2}} {
+		issued := map[string]bool{}
+		for c := s.nextSibCode(Bits{}); c.Len() <= 8; c = s.nextSibCode(c) {
+			issued[c.String()] = true
+		}
+		for n := 1; n <= 8; n++ {
+			for v := 0; v < 1<<n; v++ {
+				str := fmt.Sprintf("%0*b", n, v)
+				if got := s.issuable(BitsFromString(str)); got != issued[str] {
+					t.Errorf("%s: issuable(%s) = %v, allocator issues it: %v", s.Name(), str, got, issued[str])
+				}
+			}
+		}
+	}
+}
+
+// TestUnmarshalRejectsStaleAllocator tampers with a parent's allocator
+// state, the last sibling code it issued, so that the next append would
+// reuse or collide with a live code, or could not go on at all. Each
+// stream must be rejected; the untampered one loads.
+func TestUnmarshalRejectsStaleAllocator(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(l *Labeling, root *xmltree.Node)
+		ok     bool
+	}{
+		{"untampered", func(l *Labeling, root *xmltree.Node) {}, true},
+		{"no code issued under a parent with children", func(l *Labeling, root *xmltree.Node) {
+			l.lastCode[root] = Bits{}
+		}, false},
+		{"last code below a child's", func(l *Labeling, root *xmltree.Node) {
+			l.lastCode[root] = l.labels[root.ElementChildren()[0]].code
+		}, false},
+		{"last code the allocator never issues", func(l *Labeling, root *xmltree.Node) {
+			l.lastCode[root] = BitsFromString("11")
+		}, false},
+		{"child code the allocator never issues", func(l *Labeling, root *xmltree.Node) {
+			a := root.ElementChildren()[0]
+			l.labels[a.ElementChildren()[0]].code = BitsFromString("00")
+		}, false},
+	}
+	for _, c := range cases {
+		doc, _ := buildTree(t)
+		l, err := Scheme{Variant: Prefix2}.New(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.tamper(l, doc.Root)
+		var buf bytes.Buffer
+		if err := l.Marshal(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(&buf); (err == nil) != c.ok {
+			t.Errorf("%s: Unmarshal err = %v", c.name, err)
+		}
 	}
 }

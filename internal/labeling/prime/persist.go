@@ -33,6 +33,12 @@ import (
 // magic identifies the stream format and version.
 var magic = []byte("PRIMELBL\x01")
 
+// maxResume bounds the prime source's resume point. Every grow of the
+// source sieves with the primes up to the square root of where it stands,
+// so a resume point near 2^64 could not continue; 2^48 lies past the
+// π(2^48) ≈ 8.5×10^12 primes any document could have handed out.
+const maxResume = 1 << 48
+
 // Marshal writes the labeled document to w.
 func (l *Labeling) Marshal(out io.Writer) error {
 	w := wire.NewWriter(out)
@@ -162,6 +168,9 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 	}
 
 	next := r.Uvarint()
+	if next > maxResume {
+		return nil, fmt.Errorf("%w: prime source resumes at %d, past %d", wire.ErrBadFormat, next, maxResume)
+	}
 	issued := r.Int()
 	reservedCount := r.Int()
 	if reservedCount < 0 || reservedCount > 1<<20 {

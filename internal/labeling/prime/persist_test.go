@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"primelabel/internal/labeling"
+	"primelabel/internal/order"
+	"primelabel/internal/primes"
 	"primelabel/internal/xmltree"
 )
 
@@ -242,6 +245,105 @@ func TestUnmarshalRejectsTamperedLabels(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Error("no tampered stream was rejected; validation seems absent")
+	}
+}
+
+// TestUnmarshalRejectsStaleAllocator tampers with the allocator state a
+// stream carries — the prime source's resume point, the reserved primes,
+// the recycling pool, the SC table's keys, orders and spacing — so that it
+// would hand out a prime or an order number the tree already uses, or 2
+// under Opt2. Each stream must be rejected; the untampered one loads.
+func TestUnmarshalRejectsStaleAllocator(t *testing.T) {
+	live := func(l *Labeling) uint64 {
+		return l.labels[l.doc.Root.ElementChildren()[0]].selfPrime
+	}
+	resume := func(l *Labeling, next uint64, reserved ...uint64) {
+		_, _, issued := l.src.SnapshotState()
+		l.src = primes.Resume(next, reserved, issued)
+	}
+	cases := []struct {
+		name   string
+		opts   Options
+		tamper func(l *Labeling)
+		want   string // substring of the error; "" for a stream that loads
+	}{
+		{"untampered", Options{TrackOrder: true, RecyclePrimes: true}, func(l *Labeling) {}, ""},
+		{"resume point at a live prime", Options{}, func(l *Labeling) {
+			resume(l, live(l))
+		}, "at or above the source's next prime"},
+		{"resume point past the bound", Options{}, func(l *Labeling) {
+			resume(l, maxResume+1)
+		}, "prime source resumes at"},
+		{"resume point below every live prime", Options{}, func(l *Labeling) {
+			resume(l, 2)
+		}, "at or above the source's next prime"},
+		{"SC orders reach the resume point", Options{TrackOrder: true}, func(l *Labeling) {
+			chunk, spacing, _, records := l.sct.Snapshot()
+			next, _, _ := l.src.SnapshotState()
+			l.sct, _ = order.Restore(chunk, spacing, int(next)+1, records, nil)
+		}, "SC table orders reach"},
+		{"order key another element's self-label", Options{TrackOrder: true, PowerOfTwoLeaves: true}, func(l *Labeling) {
+			var leaf *nodeLabel
+			for _, nl := range l.labels {
+				if nl.exp > 0 {
+					leaf = nl
+				}
+			}
+			leaf.orderKey = live(l)
+		}, "is also a self-label"},
+		{"SC table keys an element that is gone", Options{TrackOrder: true}, func(l *Labeling) {
+			els := xmltree.Elements(l.doc.Root)
+			gone := els[len(els)-1]
+			delete(l.labels, gone)
+			gone.Detach()
+		}, "SC table holds"},
+		{"SC spacing above every order", Options{TrackOrder: true}, func(l *Labeling) {
+			chunk, _, nextOrd, records := l.sct.Snapshot()
+			l.sct, _ = order.Restore(chunk, nextOrd, nextOrd, records, nil)
+		}, "SC table orders reach"},
+		{"reserved prime in use", Options{ReservedPrimes: 2}, func(l *Labeling) {
+			next, _, _ := l.src.SnapshotState()
+			resume(l, next, live(l))
+		}, "is in use"},
+		{"pooled prime in use", Options{RecyclePrimes: true}, func(l *Labeling) {
+			l.free = primeHeap{live(l)}
+		}, "is in use"},
+		{"pooled composite", Options{RecyclePrimes: true}, func(l *Labeling) {
+			l.free = primeHeap{9}
+		}, "is not a prime below"},
+		{"pooled prime at the resume point", Options{RecyclePrimes: true}, func(l *Labeling) {
+			next, _, _ := l.src.SnapshotState()
+			l.free = primeHeap{next}
+		}, "is not a prime below"},
+		{"prime both reserved and pooled", Options{RecyclePrimes: true}, func(l *Labeling) {
+			resume(l, 1000, 997)
+			l.free = primeHeap{997}
+		}, "pooled twice"},
+		{"Opt2 pools 2", Options{PowerOfTwoLeaves: true, RecyclePrimes: true}, func(l *Labeling) {
+			l.free = primeHeap{2}
+		}, "is in use"},
+		{"Opt2 source resumes at 2", Options{PowerOfTwoLeaves: true}, func(l *Labeling) {
+			resume(l, 2)
+		}, "at or above the source's next prime"},
+	}
+	for _, c := range cases {
+		doc, _ := buildTree(t)
+		l, err := Scheme{Opts: c.opts}.New(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.tamper(l)
+		var buf bytes.Buffer
+		if err := l.Marshal(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Unmarshal(&buf)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -571,9 +571,10 @@ func (l *Labeling) SCTable() *order.Table { return l.sct }
 // Check verifies every internal invariant: each label is parent label ×
 // self label, labels and self primes are unique, power-of-two self-labels
 // sit only on Opt2 leaves and Opt2 never uses prime 2, the label-size
-// histogram equals a recount of the live labels, and (when tracking order)
-// the SC table is consistent and agrees with document order. Tests call
-// this after every mutation.
+// histogram equals a recount of the live labels, no prime the labeling can
+// still hand out is in use (see checkAllocator), and (when tracking order)
+// the SC table is consistent, keys exactly the non-root elements and agrees
+// with document order. Tests call this after every mutation.
 func (l *Labeling) Check() error {
 	seenPrime := make(map[uint64]*xmltree.Node)
 	seenLabel := make(map[string]*xmltree.Node)
@@ -643,9 +644,17 @@ func (l *Labeling) Check() error {
 	if !slices.Equal(recount, l.bitCount) {
 		return fmt.Errorf("prime: label-size histogram %v, recount %v", l.bitCount, recount)
 	}
+	if err := l.checkAllocator(); err != nil {
+		return err
+	}
 	if l.sct != nil {
 		if err := l.sct.Verify(); err != nil {
 			return err
+		}
+		// The table keys every element but the root and nothing else; an
+		// extra key would hold an order number a later insert can take.
+		if l.sct.Len() != len(l.labels)-1 {
+			return fmt.Errorf("prime: SC table holds %d keys for %d elements", l.sct.Len(), len(l.labels)-1)
 		}
 		// Order numbers must be strictly increasing in document order
 		// (deletions leave gaps, so exact values are not checked).
@@ -670,6 +679,54 @@ func (l *Labeling) Check() error {
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkAllocator verifies that no prime the labeling can still hand out is
+// a live self-label or order key, or 2 under Opt2, where 2 belongs to the
+// power-of-two leaves. The source hands out its next prime and every prime
+// above it, so that prime must exceed every live one; the unconsumed
+// reserved primes and the recycling pool must hold distinct primes below
+// it that are not live. Every order number ever assigned lay below its key,
+// and the first was the SC table's spacing, so the table's highest order
+// lies below the next prime and, once an order was assigned, at or above
+// the spacing.
+func (l *Labeling) checkAllocator() error {
+	live := map[uint64]bool{2: l.opts.PowerOfTwoLeaves}
+	for _, nl := range l.labels {
+		live[nl.selfPrime] = true
+	}
+	for _, nl := range l.labels {
+		// A dedicated order key is no other label's: a rekey frees it.
+		if k := nl.orderKey; k != 0 && k != nl.selfPrime && live[k] {
+			return fmt.Errorf("prime: order key %d is also a self-label or another element's key", k)
+		}
+		live[nl.orderKey] = true
+	}
+	delete(live, 0)
+	next, reserved, _ := l.src.SnapshotState()
+	if l.sct != nil {
+		if top := l.sct.MaxOrder(); uint64(top) >= next || top > 0 && l.sct.Spacing() > top {
+			return fmt.Errorf("prime: SC table orders reach %d with spacing %d; the source's next prime is %d", top, l.sct.Spacing(), next)
+		}
+	}
+	for p, inUse := range live {
+		if inUse && p >= next {
+			return fmt.Errorf("prime: live prime %d is at or above the source's next prime %d", p, next)
+		}
+	}
+	pending := make(map[uint64]bool, len(reserved)+len(l.free))
+	for _, p := range append(reserved, l.free...) {
+		switch {
+		case !primes.IsPrime(p) || p >= next:
+			return fmt.Errorf("prime: pooled %d is not a prime below the source's next prime %d", p, next)
+		case live[p]:
+			return fmt.Errorf("prime: pooled prime %d is in use", p)
+		case pending[p]:
+			return fmt.Errorf("prime: prime %d is pooled twice", p)
+		}
+		pending[p] = true
 	}
 	return nil
 }

@@ -127,6 +127,8 @@ type MismatchError struct {
 	Got, Want bool
 }
 
+// Error names the scheme and the node pair whose ancestry the labels
+// decide differently from the tree.
 func (e *MismatchError) Error() string {
 	return "labeling: " + e.Scheme + ": IsAncestor(" + xmltree.PathTo(e.A) + ", " +
 		xmltree.PathTo(e.B) + ") disagrees with tree"

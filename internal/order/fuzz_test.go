@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"primelabel/internal/numtheory"
@@ -133,7 +132,7 @@ func (k *keyPool) composite(m *sctModel, pick int) uint64 {
 	return m.keyOf[m.seq[pick%len(m.seq)]] * k.small()
 }
 
-// FuzzSCTable drives random Append, InsertBetween, Insert, Delete, Compact
+// FuzzSCTable drives random Append, InsertBetween, Delete, Compact
 // and Snapshot/Restore sequences. The first byte picks the chunk (1, 5, 20),
 // the spacing (1, 64) and whether the table has a KeyFunc; each later byte
 // pair is an op and its argument. Inserted nodes take the smallest unused
@@ -209,7 +208,7 @@ func FuzzSCTable(f *testing.F) {
 					break
 				}
 				m.add(n, key, key)
-			case op <= 3: // InsertBetween
+			case op <= 4: // InsertBetween
 				pos := arg % (n + 1)
 				prev, next := 0, 0
 				if pos > 0 {
@@ -230,20 +229,6 @@ func FuzzSCTable(f *testing.F) {
 				}
 				if got != want {
 					t.Fatalf("InsertBetween(%d, %d, %d) wrote %d records, want %d", key, prev, next, got, want)
-				}
-				m.add(pos, key, key)
-				m.rekey(t, rekeys)
-			case op == 4: // Insert at an order number
-				orderNum := 1 + arg%(tbl.MaxOrder()+1)
-				pos := sort.Search(n, func(j int) bool { return m.orderAt(t, tbl, j) >= orderNum })
-				want := writtenBy(tbl, orderNum)
-				key := insertKey(arg)
-				got, rekeys, err := tbl.Insert(key, orderNum)
-				if failed(fmt.Sprintf("Insert(%d, %d)", key, orderNum), err, before) {
-					break
-				}
-				if got != want {
-					t.Fatalf("Insert(%d, %d) wrote %d records, want %d", key, orderNum, got, want)
 				}
 				m.add(pos, key, key)
 				m.rekey(t, rekeys)

@@ -10,7 +10,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	src := primes.NewSource()
 	tbl := keyedTable(t, 3, src)
 	for i := 0; i < 10; i++ {
-		if _, _, err := tbl.Insert(src.Next(), 1+i/2); err != nil {
+		if _, _, err := tbl.InsertBetween(src.Next(), i/2, 1+i/2); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,7 +80,8 @@ func (r *record) recompute() error {
 // source so order keys never collide with self-labels.
 type KeyFunc func(min uint64) uint64
 
-// KeyChange records that a node's order key was replaced during an Insert.
+// KeyChange records that a node's order key was replaced during an
+// InsertBetween.
 type KeyChange struct {
 	Old, New uint64
 }
@@ -103,7 +104,7 @@ type Table struct {
 	newKey  KeyFunc        // nil: overflow is an error
 	spacing int            // order-number spacing; 0/1 = dense (the paper)
 	// lastShift records the shift performed by the most recent successful
-	// Append/Insert/InsertBetween (see LastShift).
+	// Append or InsertBetween (see LastShift).
 	lastShift ShiftInfo
 }
 
@@ -134,7 +135,7 @@ func (t *Table) RecordCount() int { return len(t.records) }
 func (t *Table) MaxOrder() int { return t.nextOrd - 1 }
 
 // LastShift reports the order-number shift performed by the most recent
-// successful Append, Insert, or InsertBetween. A caller that mirrors order
+// successful Append or InsertBetween. A caller that mirrors order
 // numbers elsewhere can use it to patch its copy instead of recomputing
 // every order: because order numbers are strictly
 // increasing in document order, "order >= From" identifies exactly the nodes
@@ -191,9 +192,8 @@ func (t *Table) place(prime uint64, ord int) (*record, error) {
 
 // checkShift returns the error shift(from, delta) would fail with, without
 // changing anything: on a table without a KeyFunc, a member whose shifted
-// order would reach its key cannot be re-keyed. Insert and InsertBetween
-// call it before their first mutation, so a failed insert leaves the table
-// as it was.
+// order would reach its key cannot be re-keyed. InsertBetween calls it
+// before its first mutation, so a failed insert leaves the table as it was.
 func (t *Table) checkShift(from, delta int) error {
 	if t.newKey != nil {
 		return nil
@@ -321,61 +321,6 @@ func (t *Table) Before(pa, pb uint64) (bool, error) {
 		return false, err
 	}
 	return oa < ob, nil
-}
-
-// Insert registers a newly inserted node with self-label prime at position
-// orderNum (1-based). Every existing node whose order number is >= orderNum
-// is shifted up by one, and each SC record holding a shifted node is updated
-// (see shift). The new prime joins the table's last record, as in the
-// paper's Figure 11/12 walkthrough.
-//
-// It returns the number of SC records written — the paper's re-labeling
-// cost metric for order-sensitive updates, which counts the receiving
-// record once even when the shift also wrote it — together with any
-// order-key replacements that shifting made necessary (see
-// ErrOrderOverflow). An insert that fails changes nothing.
-func (t *Table) Insert(prime uint64, orderNum int) (recordsUpdated int, rekeys []KeyChange, err error) {
-	if prime < 2 {
-		return 0, nil, ErrNotPrimeModulus
-	}
-	if _, dup := t.byPrime[prime]; dup {
-		return 0, nil, fmt.Errorf("%w: %d", ErrDuplicatePrime, prime)
-	}
-	if orderNum < 1 || orderNum > t.nextOrd {
-		return 0, nil, fmt.Errorf("%w: %d not in [1,%d]", ErrBadOrder, orderNum, t.nextOrd)
-	}
-	rekeyed := uint64(orderNum) >= prime
-	if rekeyed && t.newKey == nil {
-		return 0, nil, fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, orderNum, prime)
-	}
-	if !rekeyed {
-		// A re-keyed node takes a fresh prime, which any record accepts.
-		if err := t.checkPlace(prime); err != nil {
-			return 0, nil, err
-		}
-	}
-	if err := t.checkShift(orderNum, 1); err != nil {
-		return 0, nil, err
-	}
-	if rekeyed {
-		np := t.newKey(uint64(orderNum))
-		rekeys = append(rekeys, KeyChange{Old: prime, New: np})
-		prime = np
-	}
-	written, last, rekeys, err := t.shift(orderNum, 1, rekeys)
-	if err != nil {
-		return 0, nil, err
-	}
-	r, err := t.place(prime, orderNum)
-	if err != nil {
-		return 0, nil, err
-	}
-	if r != last {
-		written++
-	}
-	t.nextOrd++
-	t.lastShift = ShiftInfo{From: orderNum, Delta: 1}
-	return written, rekeys, nil
 }
 
 // Delete removes the node labeled prime from the table. Deletion never

@@ -101,7 +101,7 @@ func TestFigure11Insert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	updated, rekeys, err := tbl.Insert(17, 3)
+	updated, rekeys, err := tbl.InsertBetween(17, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +150,16 @@ func TestAppendOverflowRejected(t *testing.T) {
 func TestInsertErrors(t *testing.T) {
 	tbl := mustTable(t, 5)
 	_ = tbl.Append(2)
-	if _, _, err := tbl.Insert(2, 1); err == nil {
-		t.Error("duplicate Insert should fail")
+	if _, _, err := tbl.InsertBetween(2, 0, 1); err == nil {
+		t.Error("duplicate InsertBetween should fail")
 	}
-	if _, _, err := tbl.Insert(3, 0); err == nil {
-		t.Error("order 0 is reserved for the root")
+	if _, _, err := tbl.InsertBetween(3, -1, 0); !errors.Is(err, ErrBadOrder) {
+		t.Errorf("negative prev order: err = %v, want ErrBadOrder", err)
 	}
-	if _, _, err := tbl.Insert(3, 5); err == nil {
-		t.Error("order beyond end+1 should fail")
+	if _, _, err := tbl.InsertBetween(3, 1, 1); !errors.Is(err, ErrBadOrder) {
+		t.Errorf("next order not after prev: err = %v, want ErrBadOrder", err)
 	}
-	if _, _, err := tbl.Insert(1, 1); err != ErrNotPrimeModulus {
+	if _, _, err := tbl.InsertBetween(1, 0, 1); err != ErrNotPrimeModulus {
 		t.Error("modulus 1 should fail")
 	}
 }
@@ -169,7 +169,7 @@ func TestInsertAtEnd(t *testing.T) {
 	_ = tbl.Append(2)
 	_ = tbl.Append(3)
 	// Insert at position len+1 == append.
-	updated, rekeys, err := tbl.Insert(5, 3)
+	updated, rekeys, err := tbl.InsertBetween(5, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestInsertOverflow(t *testing.T) {
 	plain := mustTable(t, 5)
 	_ = plain.Append(2)
 	_ = plain.Append(3)
-	if _, _, err := plain.Insert(31, 1); !errors.Is(err, ErrOrderOverflow) {
+	if _, _, err := plain.InsertBetween(31, 0, 1); !errors.Is(err, ErrOrderOverflow) {
 		t.Errorf("front insert without KeyFunc: err = %v, want ErrOrderOverflow", err)
 	}
 
@@ -195,7 +195,7 @@ func TestInsertOverflow(t *testing.T) {
 	keyed := keyedTable(t, 5, src)
 	_ = keyed.Append(2)
 	_ = keyed.Append(3)
-	_, rekeys, err := keyed.Insert(31, 1)
+	_, rekeys, err := keyed.InsertBetween(31, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +237,13 @@ func TestFailedInsertChangesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := overflow.Insert(109, 1); err != nil {
+	if _, _, err := overflow.InsertBetween(109, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshotOf(overflow)
 	// The shift would move key 5 to order 5.
-	if _, _, err := overflow.Insert(113, 1); !errors.Is(err, ErrOrderOverflow) {
-		t.Fatalf("Insert(113, 1) err = %v, want ErrOrderOverflow", err)
+	if _, _, err := overflow.InsertBetween(113, 0, 1); !errors.Is(err, ErrOrderOverflow) {
+		t.Fatalf("InsertBetween(113, 0, 1) err = %v, want ErrOrderOverflow", err)
 	}
 	if after := snapshotOf(overflow); after != before {
 		t.Errorf("failed insert changed the table:\n before %s\n after  %s", before, after)
@@ -259,8 +259,8 @@ func TestFailedInsertChangesNothing(t *testing.T) {
 		}
 	}
 	before = snapshotOf(shared)
-	if _, _, err := shared.Insert(77, 1); !errors.Is(err, numtheory.ErrNotCoprime) {
-		t.Fatalf("Insert(77, 1) err = %v, want ErrNotCoprime", err)
+	if _, _, err := shared.InsertBetween(77, 0, 1); !errors.Is(err, numtheory.ErrNotCoprime) {
+		t.Fatalf("InsertBetween(77, 0, 1) err = %v, want ErrNotCoprime", err)
 	}
 	if after := snapshotOf(shared); after != before {
 		t.Errorf("failed insert changed the table:\n before %s\n after  %s", before, after)
@@ -271,7 +271,7 @@ func TestFailedInsertChangesNothing(t *testing.T) {
 	if err := shared.Verify(); err != nil {
 		t.Error(err)
 	}
-	// The exhausted-gap branch of InsertBetween validates the same way.
+	// An insert after the first member validates the same way.
 	if _, _, err := shared.InsertBetween(77, 1, 2); !errors.Is(err, numtheory.ErrNotCoprime) {
 		t.Fatalf("InsertBetween(77, 1, 2) err = %v, want ErrNotCoprime", err)
 	}
@@ -303,7 +303,7 @@ func TestInsertOpensNewRecordWhenFull(t *testing.T) {
 	if tbl.RecordCount() != 1 {
 		t.Fatalf("RecordCount = %d", tbl.RecordCount())
 	}
-	if _, _, err := tbl.Insert(5, 1); err != nil {
+	if _, _, err := tbl.InsertBetween(5, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.RecordCount() != 2 {
@@ -367,7 +367,7 @@ func TestPropertyRandomInserts(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			p := src.Next()
 			pos := 1 + rng.Intn(len(seq)+1)
-			_, rekeys, err := tbl.Insert(p, pos)
+			_, rekeys, err := tbl.InsertBetween(p, pos-1, pos)
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
@@ -408,7 +408,7 @@ func TestPropertyInsertUpdateBounds(t *testing.T) {
 	n := 0
 	for step := 0; step < 200; step++ {
 		pos := 1 + rng.Intn(n+1)
-		updated, _, err := tbl.Insert(src.Next(), pos)
+		updated, _, err := tbl.InsertBetween(src.Next(), pos-1, pos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func TestAppendOnlyTouchesOneRecord(t *testing.T) {
 	tbl := mustTable(t, 5)
 	src := primes.NewSource()
 	for i := 0; i < 100; i++ {
-		updated, rekeys, err := tbl.Insert(src.Next(), i+1)
+		updated, rekeys, err := tbl.InsertBetween(src.Next(), i, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func TestChunkOneDegeneratesToDirectOrder(t *testing.T) {
 	}
 	// Insert in front: all three existing records update plus the new one;
 	// nodes keyed 2 and 3 overflow (orders become 2 and 3) and re-key.
-	updated, rekeys, err := tbl.Insert(7, 1)
+	updated, rekeys, err := tbl.InsertBetween(7, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inserts keep working afterwards.
-	if _, _, err := tbl.Insert(src.Next(), 5); err != nil {
+	if _, _, err := tbl.InsertBetween(src.Next(), 4, 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Verify(); err != nil {

@@ -47,8 +47,11 @@ func (t *Table) Spacing() int {
 // after nextOrder shift up by a full spacing step (re-opening gaps) before
 // the midpoint is taken.
 //
-// Both orders must be current values from this table. The return values
-// match Insert, and as with Insert a failed call changes nothing.
+// Both orders must be current values from this table. It returns the SC
+// records written (the paper's relabeling cost, Figure 18) and any order-key
+// replacements the shift made necessary (see ErrOrderOverflow); a failed
+// call changes nothing. On a dense table InsertBetween(p, o-1, o) is the
+// paper's insert at order position o (Figures 11/12).
 func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUpdated int, rekeys []KeyChange, err error) {
 	if prime < 2 {
 		return 0, nil, ErrNotPrimeModulus

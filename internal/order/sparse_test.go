@@ -144,42 +144,6 @@ func TestInsertBetweenValidation(t *testing.T) {
 	}
 }
 
-func TestInsertBetweenDenseMatchesInsert(t *testing.T) {
-	// With spacing 1 InsertBetween must behave exactly like the paper's
-	// dense Insert.
-	srcA := primes.NewSource()
-	srcB := primes.NewSource()
-	dense := keyedTable(t, 5, srcA)
-	between := spacedTable(t, 5, 1, srcB)
-	for _, p := range []uint64{5, 7, 11, 13} {
-		if err := dense.Append(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := between.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Insert at position 2 both ways.
-	u1, _, err := dense.Insert(17, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, _, err := between.InsertBetween(17, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u1 != u2 {
-		t.Errorf("dense Insert updated %d, InsertBetween %d", u1, u2)
-	}
-	for _, p := range []uint64{5, 7, 11, 13, 17} {
-		o1, _ := dense.OrderOf(p)
-		o2, _ := between.OrderOf(p)
-		if o1 != o2 {
-			t.Errorf("OrderOf(%d): dense %d, between %d", p, o1, o2)
-		}
-	}
-}
-
 // Property: random InsertBetween sequences keep relative order consistent
 // with the insertion intent for any spacing.
 func TestPropertySparseRandomInserts(t *testing.T) {

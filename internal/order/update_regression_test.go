@@ -101,11 +101,11 @@ func TestLastShiftDenseInsert(t *testing.T) {
 			t.Fatalf("LastShift after Append = %+v, want zero", got)
 		}
 	}
-	if _, _, err := tbl.Insert(13, 2); err != nil {
+	if _, _, err := tbl.InsertBetween(13, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.LastShift(); got != (ShiftInfo{From: 2, Delta: 1}) {
-		t.Errorf("LastShift after dense Insert = %+v, want {From:2 Delta:1}", got)
+		t.Errorf("LastShift after dense InsertBetween = %+v, want {From:2 Delta:1}", got)
 	}
 }
 

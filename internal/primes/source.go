@@ -60,12 +60,17 @@ func (s *Source) SnapshotState() (nextAt uint64, reserved []uint64, issued int) 
 	return s.peek(), append([]uint64(nil), s.reserved...), s.issued
 }
 
+// sieveWindow caps how far one grow sieves past what is already sieved, so
+// a source resumed far out allocates a bounded segment, not one as large as
+// its resume point.
+const sieveWindow = 1 << 20
+
 // grow extends the sieve so buf has at least one unconsumed prime. Callers
 // must hold mu.
 func (s *Source) grow() {
 	for s.pos >= len(s.buf) {
 		lo := s.sievedTo + 1
-		hi := s.sievedTo * 2
+		hi := s.sievedTo + min(s.sievedTo, sieveWindow)
 		if hi < 256 {
 			hi = 256
 		}

@@ -58,13 +58,3 @@ func (t *Table) ExecPathExplain(q xpath.Query, ex *Explain) (RowSet, ExecStats, 
 	rs, err := t.execPath(q, &stats, ex)
 	return rs, stats, err
 }
-
-// ExecPathStringExplain parses and executes a query with per-step
-// profiling, like ExecPathExplain.
-func (t *Table) ExecPathStringExplain(query string, ex *Explain) (RowSet, ExecStats, error) {
-	q, err := xpath.Parse(query)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return t.ExecPathExplain(q, ex)
-}

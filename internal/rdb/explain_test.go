@@ -20,6 +20,16 @@ var explainQueries = []string{
 	"/play//nothing", // empty result, early termination
 }
 
+// mustParse parses a test query, failing the test on a parse error.
+func mustParse(t *testing.T, q string) xpath.Query {
+	t.Helper()
+	parsed, err := xpath.Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	return parsed
+}
+
 // TestExplainParityWithPlainExec pins the core explain contract at the
 // executor level: the profiled run returns exactly the rows and stats of the
 // unprofiled run, for every scheme and axis.
@@ -29,12 +39,12 @@ func TestExplainParityWithPlainExec(t *testing.T) {
 		work := doc.Clone()
 		tab := buildTable(t, s, work)
 		for _, q := range explainQueries {
-			plain, plainStats, err := tab.ExecPathStringStats(q)
+			plain, plainStats, err := tab.ExecPathStats(mustParse(t, q))
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, q, err)
 			}
 			var ex Explain
-			profiled, profStats, err := tab.ExecPathStringExplain(q, &ex)
+			profiled, profStats, err := tab.ExecPathExplain(mustParse(t, q), &ex)
 			if err != nil {
 				t.Fatalf("%s %s (explain): %v", name, q, err)
 			}
@@ -63,7 +73,7 @@ func TestExplainStepProfiles(t *testing.T) {
 	tab := buildTable(t, prime.Scheme{Opts: prime.Options{TrackOrder: true}}, playDoc())
 
 	var ex Explain
-	rows, stats, err := tab.ExecPathStringExplain("/play/act/scene/speech", &ex)
+	rows, stats, err := tab.ExecPathExplain(mustParse(t, "/play/act/scene/speech"), &ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +107,14 @@ func TestExplainStepProfiles(t *testing.T) {
 	// Positional metadata lands on the right step, and early termination
 	// truncates the profile instead of inventing zero rows.
 	ex = Explain{}
-	if _, _, err := tab.ExecPathStringExplain("//act//following-sibling::act[2]", &ex); err != nil {
+	if _, _, err := tab.ExecPathExplain(mustParse(t, "//act//following-sibling::act[2]"), &ex); err != nil {
 		t.Fatal(err)
 	}
 	if len(ex.Steps) != 2 || ex.Steps[1].Pos != 2 || ex.Steps[1].Axis != "following-sibling" {
 		t.Errorf("positional step profile wrong: %+v", ex.Steps)
 	}
 	ex = Explain{}
-	if _, _, err := tab.ExecPathStringExplain("/play//nothing//line", &ex); err != nil {
+	if _, _, err := tab.ExecPathExplain(mustParse(t, "/play//nothing//line"), &ex); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range ex.Steps {

@@ -110,7 +110,7 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ex Explain
-		got, _, err := ext.ExecPathStringExplain(q, &ex)
+		got, _, err := ext.ExecPathExplain(mustParse(t, q), &ex)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -127,7 +127,7 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 	// The broad descendant join has no positional predicate, so it must
 	// collapse to the interval-cover semi-join.
 	var ex Explain
-	if _, _, err := ext.ExecPathStringExplain("//act//speech", &ex); err != nil {
+	if _, _, err := ext.ExecPathExplain(mustParse(t, "//act//speech"), &ex); err != nil {
 		t.Fatal(err)
 	}
 	last := ex.Steps[len(ex.Steps)-1]
@@ -136,7 +136,7 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 	}
 	// A positional predicate needs per-outer pairs, so the semi-join is off
 	// the table and the cost model picks among the pair-producing operators.
-	if _, _, err := ext.ExecPathStringExplain("//act//speech[2]", &ex); err != nil {
+	if _, _, err := ext.ExecPathExplain(mustParse(t, "//act//speech[2]"), &ex); err != nil {
 		t.Fatal(err)
 	}
 	last = ex.Steps[len(ex.Steps)-1]
@@ -151,7 +151,7 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 		"//speaker/following::line[2]":     planExtentRange,
 		"//scene/following-sibling::scene": planExtentSibling,
 	} {
-		if _, _, err := ext.ExecPathStringExplain(q, &ex); err != nil {
+		if _, _, err := ext.ExecPathExplain(mustParse(t, q), &ex); err != nil {
 			t.Fatal(err)
 		}
 		if last = ex.Steps[len(ex.Steps)-1]; last.JoinPlan != want {

@@ -811,16 +811,9 @@ func nthPerOuter(ps Pairs, n int) Pairs {
 
 // ExecPathString parses and executes a query.
 func (t *Table) ExecPathString(query string) (RowSet, error) {
-	rs, _, err := t.ExecPathStringStats(query)
-	return rs, err
-}
-
-// ExecPathStringStats parses and executes a query, reporting execution
-// statistics like ExecPathStats.
-func (t *Table) ExecPathStringStats(query string) (RowSet, ExecStats, error) {
 	q, err := xpath.Parse(query)
 	if err != nil {
-		return nil, ExecStats{}, err
+		return nil, err
 	}
-	return t.ExecPathStats(q)
+	return t.ExecPath(q)
 }

@@ -34,9 +34,10 @@ type queryCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	gen  uint64 // document generation the response was computed against
-	resp *api.QueryResponse
+	key   string
+	gen   uint64 // document generation the response was computed against
+	shape string // the query's query-stats shape, so a hit need not parse
+	resp  *api.QueryResponse
 }
 
 // newQueryCache returns an LRU holding up to capacity results; capacity <= 0
@@ -49,12 +50,12 @@ func newQueryCache(capacity int) *queryCache {
 	}
 }
 
-// get is one lookup: it returns the response cached under the first of
-// keys that holds one computed at generation gen, promoting it to most
-// recently used. An entry from any other generation is stale and is evicted
-// on the way. The lookup counts one hit or one miss, however many keys it
-// probes.
-func (c *queryCache) get(gen uint64, keys ...string) (*api.QueryResponse, bool) {
+// get is one lookup: it returns the response and query shape cached under
+// the first of keys that holds one computed at generation gen, promoting it
+// to most recently used; a nil response is a miss. An entry from any other
+// generation is stale and is evicted on the way. The lookup counts one hit
+// or one miss, however many keys it probes.
+func (c *queryCache) get(gen uint64, keys ...string) (*api.QueryResponse, string) {
 	if c.cap > 0 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -71,17 +72,17 @@ func (c *queryCache) get(gen uint64, keys ...string) (*api.QueryResponse, bool) 
 			}
 			c.ll.MoveToFront(el)
 			c.hits.Add(1)
-			return ent.resp, true
+			return ent.resp, ent.shape
 		}
 	}
 	c.misses.Add(1)
-	return nil, false
+	return nil, ""
 }
 
-// put stores a response computed at generation gen, evicting the least
-// recently used entry when full. A same-query entry from an older
-// generation is overwritten in place.
-func (c *queryCache) put(query string, gen uint64, resp *api.QueryResponse) {
+// put stores a response computed at generation gen with its query's shape,
+// evicting the least recently used entry when full. A same-query entry from
+// an older generation is overwritten in place.
+func (c *queryCache) put(query string, gen uint64, shape string, resp *api.QueryResponse) {
 	if c.cap <= 0 {
 		return
 	}
@@ -91,10 +92,11 @@ func (c *queryCache) put(query string, gen uint64, resp *api.QueryResponse) {
 		ent := el.Value.(*cacheEntry)
 		ent.resp = resp
 		ent.gen = gen
+		ent.shape = shape
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[query] = c.ll.PushFront(&cacheEntry{key: query, gen: gen, resp: resp})
+	c.items[query] = c.ll.PushFront(&cacheEntry{key: query, gen: gen, shape: shape, resp: resp})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

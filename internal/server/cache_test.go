@@ -12,21 +12,21 @@ import (
 func TestQueryCacheLRUEviction(t *testing.T) {
 	c := newQueryCache(2)
 	r := func(n int) *api.QueryResponse { return &api.QueryResponse{Count: n} }
-	c.put("a", 0, r(1))
-	c.put("b", 0, r(2))
-	if _, ok := c.get(0, "a"); !ok {
+	c.put("a", 0, "", r(1))
+	c.put("b", 0, "", r(2))
+	if got, _ := c.get(0, "a"); got == nil {
 		t.Fatal("a missing before capacity reached")
 	}
 	// a was just used, so adding c must evict b.
-	c.put("c", 0, r(3))
-	if _, ok := c.get(0, "b"); ok {
+	c.put("c", 0, "", r(3))
+	if got, _ := c.get(0, "b"); got != nil {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if got, ok := c.get(0, "a"); !ok || got.Count != 1 {
-		t.Fatalf("a = %+v, %v", got, ok)
+	if got, _ := c.get(0, "a"); got == nil || got.Count != 1 {
+		t.Fatalf("a = %+v", got)
 	}
-	if got, ok := c.get(0, "c"); !ok || got.Count != 3 {
-		t.Fatalf("c = %+v, %v", got, ok)
+	if got, _ := c.get(0, "c"); got == nil || got.Count != 3 {
+		t.Fatalf("c = %+v", got)
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
@@ -35,8 +35,8 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 
 func TestQueryCacheReplaceInPlace(t *testing.T) {
 	c := newQueryCache(4)
-	c.put("q", 1, &api.QueryResponse{Count: 1})
-	c.put("q", 1, &api.QueryResponse{Count: 2}) // replace in place
+	c.put("q", 1, "", &api.QueryResponse{Count: 1})
+	c.put("q", 1, "", &api.QueryResponse{Count: 2}) // replace in place
 	if got, _ := c.get(1, "q"); got.Count != 2 {
 		t.Fatalf("replace kept old value %d", got.Count)
 	}
@@ -51,27 +51,27 @@ func TestQueryCacheReplaceInPlace(t *testing.T) {
 // anywhere.
 func TestQueryCacheGenerationTagging(t *testing.T) {
 	c := newQueryCache(4)
-	c.put("q", 1, &api.QueryResponse{Count: 1})
-	c.put("other", 1, &api.QueryResponse{Count: 9})
-	if got, ok := c.get(1, "q"); !ok || got.Count != 1 {
-		t.Fatalf("same-generation lookup missed: %+v, %v", got, ok)
+	c.put("q", 1, "", &api.QueryResponse{Count: 1})
+	c.put("other", 1, "", &api.QueryResponse{Count: 9})
+	if got, _ := c.get(1, "q"); got == nil || got.Count != 1 {
+		t.Fatalf("same-generation lookup missed: %+v", got)
 	}
-	if _, ok := c.get(2, "q"); ok {
+	if got, _ := c.get(2, "q"); got != nil {
 		t.Fatal("stale-generation lookup hit")
 	}
 	if c.len() != 1 {
 		t.Fatalf("stale entry not evicted lazily: len = %d, want 1", c.len())
 	}
 	// The untouched entry survives the other's invalidation (no sweep)...
-	if got, ok := c.get(1, "other"); !ok || got.Count != 9 {
-		t.Fatalf("unrelated entry lost: %+v, %v", got, ok)
+	if got, _ := c.get(1, "other"); got == nil || got.Count != 9 {
+		t.Fatalf("unrelated entry lost: %+v", got)
 	}
 	// ...and a put at the new generation overwrites gen and value together.
-	c.put("other", 2, &api.QueryResponse{Count: 10})
-	if got, ok := c.get(2, "other"); !ok || got.Count != 10 {
-		t.Fatalf("new generation missed: %+v, %v", got, ok)
+	c.put("other", 2, "", &api.QueryResponse{Count: 10})
+	if got, _ := c.get(2, "other"); got == nil || got.Count != 10 {
+		t.Fatalf("new generation missed: %+v", got)
 	}
-	if _, ok := c.get(1, "other"); ok {
+	if got, _ := c.get(1, "other"); got != nil {
 		t.Fatal("old generation still served after re-put")
 	}
 }
@@ -82,7 +82,7 @@ func TestQueryCacheGenerationTagging(t *testing.T) {
 func TestQueryCacheCounters(t *testing.T) {
 	c := newQueryCache(4)
 	c.get(1, "q") // miss: empty
-	c.put("q", 1, &api.QueryResponse{Count: 1})
+	c.put("q", 1, "", &api.QueryResponse{Count: 1})
 	c.get(1, "q") // hit
 	c.get(1, "q") // hit
 	c.get(2, "q") // miss: stale generation
@@ -93,8 +93,8 @@ func TestQueryCacheCounters(t *testing.T) {
 
 func TestQueryCacheDisabled(t *testing.T) {
 	c := newQueryCache(0)
-	c.put("q", 0, &api.QueryResponse{Count: 1})
-	if _, ok := c.get(0, "q"); ok {
+	c.put("q", 0, "", &api.QueryResponse{Count: 1})
+	if got, _ := c.get(0, "q"); got != nil {
 		t.Fatal("capacity 0 must never cache")
 	}
 	if hits, misses := c.counters(); hits != 0 || misses != 1 {
@@ -114,8 +114,8 @@ func TestQueryCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("q%d", (w+i)%12)
 				gen := uint64(i / 50)
-				if _, ok := c.get(gen, key); !ok {
-					c.put(key, gen, &api.QueryResponse{Count: i})
+				if got, _ := c.get(gen, key); got == nil {
+					c.put(key, gen, "", &api.QueryResponse{Count: i})
 				}
 			}
 		}(w)

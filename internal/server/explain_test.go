@@ -8,6 +8,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -283,6 +284,58 @@ func TestQueryStatsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("k=-1 returned status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestQueryShapeFromOneParse checks the shape the read path records without
+// a second parse: positional variants share one entry, a cache hit (full
+// entry or count slot) records the shape its miss recorded, and a query
+// that does not parse is its own shape.
+func TestQueryShapeFromOneParse(t *testing.T) {
+	st := NewStore(NewMetrics(), 16)
+	ctx := context.Background()
+	if _, err := st.Load(ctx, "d", api.LoadRequest{XML: "<a><b/><b/><b/><b/><b/><b/><b/></a>"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"/a/b[1]", "/a/b[7]", "/a/b[1]"} {
+		resp, err := st.QueryExplain(ctx, "d", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Explain.Shape != "/a/b[*]" {
+			t.Errorf("%s (cached %v): explain shape %q, want /a/b[*]", q, resp.Cached, resp.Explain.Shape)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := st.QueryMode(ctx, "d", "/a/b[2]", api.QueryModeCount, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Explain.Shape != "/a/b[*]" {
+			t.Errorf("count (cached %v): explain shape %q, want /a/b[*]", resp.Cached, resp.Explain.Shape)
+		}
+	}
+	const bad = "not ( a valid ) query!"
+	if _, err := st.Query(ctx, "d", bad); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("unparsable query: err %v, want a bad request", err)
+	}
+	entries := st.QueryStats().Snapshot("d", 0).Entries
+	if len(entries) != 2 {
+		t.Fatalf("query stats hold %d entries, want 2: %+v", len(entries), entries)
+	}
+	for _, e := range entries {
+		switch e.Shape {
+		case "/a/b[*]":
+			if e.Calls != 5 || e.CacheHits != 2 || e.Errors != 0 {
+				t.Errorf("/a/b[*]: %d calls, %d hits, %d errors; want 5, 2, 0", e.Calls, e.CacheHits, e.Errors)
+			}
+		case bad:
+			if e.Calls != 1 || e.Errors != 1 {
+				t.Errorf("unparsable: %d calls, %d errors; want 1, 1", e.Calls, e.Errors)
+			}
+		default:
+			t.Errorf("unexpected shape %q", e.Shape)
+		}
 	}
 }
 

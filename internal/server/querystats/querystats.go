@@ -6,12 +6,12 @@
 // cache-hit ratios, and — for each shape — the execution
 // profile captured at its slowest call.
 //
-// Memory is bounded two ways: the entry table is an LRU over shapes with a
-// fixed capacity (recording a new shape past capacity evicts the
-// least-recently-used one), and the raw-query → shape normalization cache is
-// reset wholesale when it outgrows a small multiple of that capacity.
-// Registry-wide totals live outside the LRU so the labeld_querystats_*
-// counters stay monotonic across evictions.
+// Memory is bounded by the entry table, an LRU over shapes with a fixed
+// capacity: recording a new shape past capacity evicts the
+// least-recently-used one. The caller normalizes each query to its shape
+// (xpath.Query.Shape) as part of the parse it needs anyway. Registry-wide
+// totals live outside the LRU so the labeld_querystats_* counters stay
+// monotonic across evictions.
 package querystats
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"primelabel/internal/hist"
 	"primelabel/internal/server/api"
-	"primelabel/internal/xpath"
 )
 
 // DefaultCapacity is the entry-table bound used when the server does not
@@ -56,10 +55,10 @@ type entry struct {
 
 // Sample is one query execution as the store reports it.
 type Sample struct {
-	// Doc is the document name; Query the raw query text (normalized to its
-	// shape inside the registry).
+	// Doc is the document name; Shape the query's normalized shape
+	// (xpath.Query.Shape, or the raw text of a query that does not parse).
 	Doc   string
-	Query string
+	Shape string
 	// Latency is the request's query-path wall time.
 	Latency time.Duration
 	// Candidates is the executor's candidate-row volume (0 on cache hits).
@@ -82,9 +81,6 @@ type Registry struct {
 	cap     int
 	entries map[Key]*entry
 	lru     *list.List // front = most recently used
-	// shapes caches raw query text → shape so steady-state recording skips
-	// the parser; reset when it outgrows 4× the entry capacity.
-	shapes map[string]string
 
 	// Registry-wide monotonic totals (survive entry eviction) plus global
 	// latency/candidate histograms for the exposition series.
@@ -106,7 +102,6 @@ func New(capacity int) *Registry {
 		cap:        capacity,
 		entries:    make(map[Key]*entry),
 		lru:        list.New(),
-		shapes:     make(map[string]string),
 		latency:    hist.NewDefault(),
 		candidates: hist.New(candidateBounds),
 	}
@@ -114,30 +109,6 @@ func New(capacity int) *Registry {
 
 // Capacity returns the entry-table bound.
 func (r *Registry) Capacity() int { return r.cap }
-
-// ShapeOf normalizes raw query text to its aggregation shape: the parsed
-// query rendered with positional predicates masked. Unparsable text is its
-// own shape (such queries still fail visibly in the stats). The result is
-// memoized.
-func (r *Registry) ShapeOf(raw string) string {
-	r.mu.Lock()
-	shape, ok := r.shapes[raw]
-	r.mu.Unlock()
-	if ok {
-		return shape
-	}
-	shape = raw
-	if q, err := xpath.Parse(raw); err == nil {
-		shape = q.Shape()
-	}
-	r.mu.Lock()
-	if len(r.shapes) >= 4*r.cap {
-		r.shapes = make(map[string]string)
-	}
-	r.shapes[raw] = shape
-	r.mu.Unlock()
-	return shape
-}
 
 // Record folds one query execution into the registry.
 func (r *Registry) Record(s Sample) {
@@ -152,7 +123,7 @@ func (r *Registry) Record(s Sample) {
 	if !s.CacheHit {
 		r.candidates.ObserveValue(float64(s.Candidates))
 	}
-	key := Key{Doc: s.Doc, Shape: r.ShapeOf(s.Query)}
+	key := Key{Doc: s.Doc, Shape: s.Shape}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

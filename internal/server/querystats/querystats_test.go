@@ -9,36 +9,12 @@ import (
 	"primelabel/internal/server/api"
 )
 
-func TestShapeOfMasksPositionsOnly(t *testing.T) {
-	r := New(8)
-	cases := map[string]string{
-		"/a/b[1]":                "/a/b[*]",
-		"/a/b[7]":                "/a/b[*]",
-		"/a/b":                   "/a/b",
-		"//x[3]//y[9]":           "//x[*]//y[*]",
-		"//b/following::c[2]":    "//b/following::c[*]",
-		"not ( a valid ) query!": "not ( a valid ) query!", // unparsable: its own shape
-	}
-	for raw, want := range cases {
-		if got := r.ShapeOf(raw); got != want {
-			t.Errorf("ShapeOf(%q) = %q, want %q", raw, got, want)
-		}
-	}
-	// /a/b[1] and /a/b[7] must land in one entry.
-	r.Record(Sample{Doc: "d", Query: "/a/b[1]", Latency: time.Millisecond})
-	r.Record(Sample{Doc: "d", Query: "/a/b[7]", Latency: time.Millisecond})
-	snap := r.Snapshot("", 0)
-	if snap.Shapes != 1 || len(snap.Entries) != 1 || snap.Entries[0].Calls != 2 {
-		t.Errorf("positional variants did not aggregate: %+v", snap)
-	}
-}
-
 func TestRecordAggregatesPerEntry(t *testing.T) {
 	r := New(8)
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 2 * time.Millisecond, Candidates: 10})
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 1 * time.Millisecond, CacheHit: true})
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 3 * time.Millisecond, Candidates: 30})
-	r.Record(Sample{Doc: "d", Query: "///", Latency: time.Microsecond, Err: true})
+	r.Record(Sample{Doc: "d", Shape: "//a", Latency: 2 * time.Millisecond, Candidates: 10})
+	r.Record(Sample{Doc: "d", Shape: "//a", Latency: 1 * time.Millisecond, CacheHit: true})
+	r.Record(Sample{Doc: "d", Shape: "//a", Latency: 3 * time.Millisecond, Candidates: 30})
+	r.Record(Sample{Doc: "d", Shape: "///", Latency: time.Microsecond, Err: true})
 
 	snap := r.Snapshot("d", 0)
 	if len(snap.Entries) != 2 {
@@ -71,9 +47,9 @@ func TestSlowProfileTracksSlowestCall(t *testing.T) {
 	p1 := &api.QueryExplain{Shape: "//a", Candidates: 1}
 	p2 := &api.QueryExplain{Shape: "//a", Candidates: 2}
 	p3 := &api.QueryExplain{Shape: "//a", Candidates: 3}
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 5 * time.Millisecond, Profile: p1})
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 9 * time.Millisecond, Profile: p2})
-	r.Record(Sample{Doc: "d", Query: "//a", Latency: 2 * time.Millisecond, Profile: p3})
+	r.Record(Sample{Doc: "d", Shape: "//a", Latency: 5 * time.Millisecond, Profile: p1})
+	r.Record(Sample{Doc: "d", Shape: "//a", Latency: 9 * time.Millisecond, Profile: p2})
+	r.Record(Sample{Doc: "d", Shape: "//a", Latency: 2 * time.Millisecond, Profile: p3})
 	e := r.Snapshot("d", 0).Entries[0]
 	if e.SlowProfile != p2 {
 		t.Errorf("slow profile = %+v, want the 9ms call's", e.SlowProfile)
@@ -83,7 +59,7 @@ func TestSlowProfileTracksSlowestCall(t *testing.T) {
 func TestLRUEvictionKeepsTotalsMonotonic(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10; i++ {
-		r.Record(Sample{Doc: "d", Query: fmt.Sprintf("//t%d", i), Latency: time.Millisecond})
+		r.Record(Sample{Doc: "d", Shape: fmt.Sprintf("//t%d", i), Latency: time.Millisecond})
 	}
 	if r.Len() != 4 {
 		t.Errorf("Len = %d, want capacity 4", r.Len())
@@ -101,8 +77,8 @@ func TestLRUEvictionKeepsTotalsMonotonic(t *testing.T) {
 
 	// Recency protects an entry: touch the oldest survivor, add one more
 	// shape, and the touched entry must still be present.
-	r.Record(Sample{Doc: "d", Query: "//t6", Latency: time.Millisecond})
-	r.Record(Sample{Doc: "d", Query: "//fresh", Latency: time.Millisecond})
+	r.Record(Sample{Doc: "d", Shape: "//t6", Latency: time.Millisecond})
+	r.Record(Sample{Doc: "d", Shape: "//fresh", Latency: time.Millisecond})
 	found := false
 	for _, e := range r.Snapshot("", 0).Entries {
 		if e.Shape == "//t6" {
@@ -127,7 +103,7 @@ func TestTenThousandShapesStayBounded(t *testing.T) {
 		}
 		r.Record(Sample{
 			Doc:     "d",
-			Query:   fmt.Sprintf("//tag%d", i),
+			Shape:   fmt.Sprintf("//tag%d", i),
 			Latency: lat,
 			Profile: &api.QueryExplain{Shape: fmt.Sprintf("//tag%d", i)},
 		})
@@ -155,20 +131,12 @@ func TestTenThousandShapesStayBounded(t *testing.T) {
 				top.Entries[i].TotalMS, top.Entries[i-1].TotalMS)
 		}
 	}
-	// The shape-normalization cache is the other memory bound: it resets
-	// wholesale rather than growing with distinct raw texts forever.
-	r.mu.Lock()
-	shapeCache := len(r.shapes)
-	r.mu.Unlock()
-	if shapeCache > 4*DefaultCapacity {
-		t.Errorf("shape cache grew past its bound: %d", shapeCache)
-	}
 }
 
 func TestSnapshotDocFilter(t *testing.T) {
 	r := New(8)
-	r.Record(Sample{Doc: "a", Query: "//x", Latency: time.Millisecond})
-	r.Record(Sample{Doc: "b", Query: "//x", Latency: time.Millisecond})
+	r.Record(Sample{Doc: "a", Shape: "//x", Latency: time.Millisecond})
+	r.Record(Sample{Doc: "b", Shape: "//x", Latency: time.Millisecond})
 	snap := r.Snapshot("a", 0)
 	if len(snap.Entries) != 1 || snap.Entries[0].Doc != "a" {
 		t.Errorf("doc filter leaked: %+v", snap.Entries)
@@ -190,7 +158,7 @@ func TestRecordConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				r.Record(Sample{
 					Doc:     "d",
-					Query:   fmt.Sprintf("//t%d", i%32),
+					Shape:   fmt.Sprintf("//t%d", i%32),
 					Latency: time.Duration(i+1) * time.Microsecond,
 				})
 			}

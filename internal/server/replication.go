@@ -410,9 +410,9 @@ func (c streamConn) Flush() error { return c.rc.Flush() }
 func (c streamConn) SetWriteDeadline(t time.Time) error { return c.rc.SetWriteDeadline(t) }
 
 // handleReplicate serves GET /replicate/{name}: one long-lived replication
-// stream. Routed outside the request-timeout wrapper (streams are meant to
-// outlive any request deadline); Shutdown ends it via the server's stream
-// context.
+// stream. It is the one route instrument gives no request deadline
+// (streams are meant to run for hours); it ends when the follower goes away
+// or Shutdown cancels the server's stream context.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if !s.store.Durable() {
 		writeError(w, fmt.Errorf("%w: server has no data directory; nothing to replicate", ErrBadRequest))

@@ -29,8 +29,10 @@ type Config struct {
 	// CacheSize is the per-document query cache capacity (default 256;
 	// negative disables caching).
 	CacheSize int
-	// RequestTimeout bounds each request's handling time (default 10s).
-	// Requests that exceed it receive 503 with a JSON error body.
+	// RequestTimeout is each request's deadline (default 10s). A request
+	// past it when it takes its document lock, finishes query evaluation
+	// or ends a load step changes nothing and receives 503 with a JSON
+	// error body; work under way runs to completion.
 	RequestTimeout time.Duration
 	// ShutdownGrace bounds how long Shutdown waits for in-flight requests
 	// (default 10s).
@@ -304,9 +306,10 @@ func (s *Server) Store() *Store { return s.store }
 // Metrics exposes the metric registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Handler builds the routed, instrumented HTTP handler. Every endpoint is
-// wrapped with tracing (X-Trace-Id honor/generate/echo, span collection,
-// slow-request logging), latency/error accounting, and the request timeout.
+// Handler builds the routed, instrumented HTTP handler: one mux on which
+// every endpoint is wrapped with tracing (X-Trace-Id honor/generate/echo,
+// span collection, slow-request logging), latency/error accounting, and the
+// request deadline (see instrument).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
@@ -318,27 +321,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /docs/{name}", s.instrument("get", s.handleInfo))
 	mux.HandleFunc("DELETE /docs/{name}", s.instrument("delete", s.handleDelete))
 	mux.HandleFunc("POST /docs/{name}/query", s.instrument("query", s.handleQuery))
+	mux.HandleFunc("POST /docs/{name}/query/stream", s.instrument("query_stream", s.handleQueryStream))
 	mux.HandleFunc("POST /docs/{name}/relation", s.instrument("relation", s.handleRelation))
 	mux.HandleFunc("POST /docs/{name}/update", s.instrument("update", s.handleUpdate))
 	mux.HandleFunc("POST /docs/{name}/update/batch", s.instrument("update_batch", s.handleUpdateBatch))
 	mux.HandleFunc("POST /promote", s.instrument("promote", s.handlePromote))
 	mux.HandleFunc("GET /topology", s.instrument("topology", s.handleTopology))
-	timeoutBody, _ := json.Marshal(api.Error{Error: "request timed out"})
-	timed := http.TimeoutHandler(mux, s.cfg.RequestTimeout, string(timeoutBody))
-	// Replication streams live outside the timeout wrapper: they are meant
-	// to run for hours, and TimeoutHandler would both buffer their writes
-	// and kill them at the request deadline. Shutdown ends them via
-	// streamCtx instead. The digest probe rides next to them (more specific
-	// pattern wins) — it is a quick request, but belongs with replication.
-	outer := http.NewServeMux()
-	outer.HandleFunc("GET /replicate/{name}", s.instrument("replicate", s.handleReplicate))
-	outer.HandleFunc("GET /replicate/{name}/digest", s.instrument("replicate_digest", s.handleReplicateDigest))
-	// The streaming query endpoint also bypasses the timeout wrapper:
-	// TimeoutHandler buffers the whole response, which would hold every
-	// chunk until the handler returned — the opposite of streaming.
-	outer.HandleFunc("POST /docs/{name}/query/stream", s.instrument("query_stream", s.handleQueryStream))
-	outer.Handle("/", timed)
-	return outer
+	mux.HandleFunc("GET /replicate/{name}", s.instrument("replicate", s.handleReplicate))
+	mux.HandleFunc("GET /replicate/{name}/digest", s.instrument("replicate_digest", s.handleReplicateDigest))
+	return mux
 }
 
 // handleTopology serves GET /topology: the cluster manager's current view of
@@ -414,13 +405,21 @@ func requestTraceID(r *http.Request) string {
 // sealed, its spans feed the stage-duration histograms, the completed trace
 // lands in the /debug/traces ring (except traces of /debug/traces itself),
 // and requests over the slow threshold are logged in full.
+// Every request but a replication stream, which ends on follower disconnect
+// or streamCtx, also carries the RequestTimeout deadline the store checks.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := trace.New(requestTraceID(r), endpoint)
 		tr.SetDoc(r.PathValue("name"))
 		w.Header().Set(api.TraceIDHeader, tr.ID)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(trace.NewContext(r.Context(), tr)))
+		ctx := trace.NewContext(r.Context(), tr)
+		if endpoint != "replicate" {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
+		h(sw, r.WithContext(ctx))
 		tr.Finish(sw.status)
 		dur := tr.Duration()
 		s.metrics.observeRequest(endpoint, sw.status, dur)
@@ -491,6 +490,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrReadOnly):
 		status = http.StatusForbidden
+	case errors.Is(err, ErrTimedOut):
+		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, api.Error{Error: err.Error()})
 }
@@ -595,8 +596,7 @@ func explainParam(r *http.Request) bool {
 
 // handleQueryStream serves POST /docs/{name}/query/stream: the query result
 // as NDJSON — one StreamHeader line, then StreamChunk lines, flushed as
-// they materialize. The endpoint lives outside the request-timeout wrapper
-// (TimeoutHandler buffers the whole body, which would defeat streaming);
+// they materialize. The request deadline applies until the header is sent;
 // errors after the first line can only abort the stream, so clients treat a
 // body without a Done chunk as failed.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {

@@ -38,6 +38,7 @@ import (
 	"primelabel/internal/server/trace"
 	"primelabel/internal/xmlparse"
 	"primelabel/internal/xmltree"
+	"primelabel/internal/xpath"
 )
 
 // Errors the store maps to HTTP statuses.
@@ -49,6 +50,9 @@ var (
 	ErrStaleGeneration = errors.New("server: stale generation")
 	// ErrBadRequest wraps client-side validation failures (400).
 	ErrBadRequest = errors.New("server: bad request")
+	// ErrTimedOut: the request's context was done (deadline passed or
+	// client gone) before the store started or published its work (503).
+	ErrTimedOut = errors.New("request timed out")
 )
 
 // document is one hosted labeled document.
@@ -166,8 +170,10 @@ func newTable(lab labeling.Labeling) *rdb.Table {
 // Load parses, labels and indexes a document, replacing any existing
 // document with the same name. Replacement resets the generation counter:
 // conditional requests against the old instance fail with a stale
-// generation, which is the intended signal. A trace carried by ctx records
-// parse, label, index and (on a durable server) snapshot_write spans.
+// generation, which is the intended signal. A ctx done after the parse,
+// label or index step returns ErrTimedOut with nothing published. A trace
+// carried by ctx records parse, label, index and (on a durable server)
+// snapshot_write spans.
 func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api.DocInfo, error) {
 	if name == "" || strings.ContainsAny(name, "/ ") {
 		return api.DocInfo{}, fmt.Errorf("%w: document name must be non-empty without '/' or spaces", ErrBadRequest)
@@ -185,15 +191,24 @@ func (s *Store) Load(ctx context.Context, name string, req api.LoadRequest) (api
 	if err != nil {
 		return api.DocInfo{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	if ctx.Err() != nil {
+		return api.DocInfo{}, ErrTimedOut
+	}
 	endLabel := trace.Start(ctx, trace.StageLabel)
 	lab, err := scheme.Label(tree)
 	endLabel()
 	if err != nil {
 		return api.DocInfo{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	if ctx.Err() != nil {
+		return api.DocInfo{}, ErrTimedOut
+	}
 	endIndex := trace.Start(ctx, trace.StageIndex)
 	d := s.newDocument(name, lab, persist.Meta{})
 	endIndex()
+	if ctx.Err() != nil {
+		return api.DocInfo{}, ErrTimedOut
+	}
 	// The replaced instance, if any, stops journaling here, before the new
 	// one takes over the on-disk files.
 	s.swap(name, d)
@@ -377,7 +392,7 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 		Nodes:      d.nodeRefs(r.rows),
 	}
 	endMaterialize()
-	d.cache.put(query, d.gen, resp)
+	d.cache.put(query, d.gen, r.shape, resp)
 	if profile := s.finishRead(ctx, &r); profile != nil {
 		// The cache holds the profile-free response; the profiled copy is
 		// this request's alone.
@@ -391,9 +406,11 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 // queryRead is one query's pass through the read path the query
 // terminals share (see beginRead).
 type queryRead struct {
-	d       *document
-	name    string
-	query   string
+	d    *document
+	name string
+	// shape is the query's query-stats shape, read from the cache entry on
+	// a hit; a miss parses the query once for both shape and evaluation.
+	shape   string
 	explain bool
 	start   time.Time
 	// hit is the cache entry that answered the query; nil on a miss.
@@ -410,11 +427,12 @@ type queryRead struct {
 // query (and, when non-nil, the terminal's own mode counter), takes the
 // document's read lock (lock_wait span) and looks the query up in the
 // cache under each of keys in turn (cache_lookup span) — one cache hit or
-// one miss per query, however many keys it probes. On a miss it
-// evaluates the query (xpath_eval span) and builds the planner profile; an
-// evaluation error is recorded into query stats and returned. Unless it
-// returns an error, beginRead returns with r.d.mu read-locked: the caller
-// serves the answer, calls finishRead, and unlocks.
+// one miss per query, however many keys it probes. On a miss it parses and
+// evaluates the query (xpath_eval span) and builds the planner profile; a
+// parse or evaluation error is recorded into query stats and returned. A
+// ctx that is done once the lock is taken, or once evaluation ends, returns
+// ErrTimedOut. Unless it returns an error, beginRead returns with r.d.mu
+// read-locked: the caller serves the answer, calls finishRead, and unlocks.
 func (s *Store) beginRead(ctx context.Context, name, query string, explain bool, mode *atomic.Uint64, keys ...string) (queryRead, error) {
 	if query == "" {
 		return queryRead{}, fmt.Errorf("%w: empty xpath", ErrBadRequest)
@@ -423,7 +441,7 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	if err != nil {
 		return queryRead{}, err
 	}
-	r := queryRead{d: d, name: name, query: query, explain: explain, start: time.Now()}
+	r := queryRead{d: d, name: name, explain: explain, start: time.Now()}
 	s.metrics.queries.Add(1)
 	if mode != nil {
 		mode.Add(1)
@@ -431,14 +449,18 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	endLock := trace.Start(ctx, trace.StageLockWait)
 	d.mu.RLock()
 	endLock()
+	if ctx.Err() != nil {
+		d.mu.RUnlock()
+		return queryRead{}, ErrTimedOut
+	}
 	endCache := trace.Start(ctx, trace.StageCacheLookup)
-	r.hit, _ = d.cache.get(d.gen, keys...)
+	r.hit, r.shape = d.cache.get(d.gen, keys...)
 	endCache()
 	if r.hit != nil {
 		s.metrics.cacheHits.Add(1)
 		if explain {
 			r.profile = &api.QueryExplain{
-				Shape:    s.querystats.ShapeOf(query),
+				Shape:    r.shape,
 				CacheHit: true,
 				Backend:  d.lab.SchemeName(),
 			}
@@ -451,21 +473,30 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 		ex = &rdb.Explain{}
 	}
 	endEval := trace.Start(ctx, trace.StageXPathEval)
-	rows, stats, err := d.table.ExecPathStringExplain(query, ex)
+	var stats rdb.ExecStats
+	q, err := xpath.Parse(query)
+	r.shape = query
+	if err == nil {
+		r.shape = q.Shape()
+		r.rows, stats, err = d.table.ExecPathExplain(q, ex)
+	}
 	endEval()
 	if err != nil {
 		d.mu.RUnlock()
 		s.querystats.Record(querystats.Sample{
-			Doc: name, Query: query, Latency: time.Since(r.start), Err: true,
+			Doc: name, Shape: r.shape, Latency: time.Since(r.start), Err: true,
 		})
 		return queryRead{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	r.rows = rows
+	if ctx.Err() != nil {
+		d.mu.RUnlock()
+		return queryRead{}, ErrTimedOut
+	}
 	// Every miss carries the planner summary (the query-stats registry
 	// attaches it to a shape's slowest call); step detail only when the
 	// caller asked for explain.
 	r.profile = &api.QueryExplain{
-		Shape:        s.querystats.ShapeOf(query),
+		Shape:        r.shape,
 		Backend:      d.lab.SchemeName(),
 		Candidates:   stats.Candidates,
 		MaxLabelBits: d.lab.MaxLabelBits(),
@@ -481,7 +512,7 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 // requested, else stamped with the stages the request's trace has
 // completed so far.
 func (s *Store) finishRead(ctx context.Context, r *queryRead) *api.QueryExplain {
-	sample := querystats.Sample{Doc: r.name, Query: r.query, CacheHit: r.hit != nil}
+	sample := querystats.Sample{Doc: r.name, Shape: r.shape, CacheHit: r.hit != nil}
 	if r.hit == nil {
 		sample.Candidates = r.profile.Candidates
 		sample.Profile = r.profile
@@ -546,6 +577,9 @@ func (s *Store) Relation(ctx context.Context, name string, req api.RelationReque
 	d.mu.RLock()
 	endLock()
 	defer d.mu.RUnlock()
+	if ctx.Err() != nil {
+		return api.RelationResponse{}, ErrTimedOut
+	}
 	if err := d.checkGeneration(req.Generation); err != nil {
 		return api.RelationResponse{}, err
 	}
@@ -692,6 +726,9 @@ const maxBatchOps = 1024
 // fails the request and retires the journal, so recovery never replays
 // past a hole.
 //
+// A batch whose ctx is done once it holds the write lock applies nothing
+// and returns ErrTimedOut; a batch that starts runs to completion.
+//
 // Generation and counter semantics, per op: a validation failure (unknown
 // op, bad node id, missing tag) mutates nothing and does not advance the
 // generation — a client retrying with its pinned generation will not see a
@@ -730,8 +767,8 @@ func (s *Store) UpdateBatch(ctx context.Context, name string, req api.BatchUpdat
 		commitErr = s.commitJournal(ctx, d, commit)
 	}
 	if bail != nil {
-		// Nothing was acknowledged: generation-pin conflict, first-op
-		// validation failure, or journal-append failure.
+		// Nothing was acknowledged: a done context, generation-pin
+		// conflict, first-op validation failure, or journal-append failure.
 		s.metrics.updateFailures.Add(1)
 		return api.BatchUpdateResponse{}, bail
 	}
@@ -752,14 +789,17 @@ func (s *Store) UpdateBatch(ctx context.Context, name string, req api.BatchUpdat
 // updateBatchLocked is UpdateBatch's write-lock critical section. It
 // returns the response, the pending journal commit (nil when nothing was
 // journaled), the number of fully successful ops, and a bail error for the
-// no-op outcomes (stale pin, first-op validation failure, journal-append
-// failure) where the caller should surface a plain error instead of a
-// batch response.
+// no-op outcomes (a done ctx once the lock is taken, stale pin, first-op
+// validation failure, journal-append failure) where the caller should
+// surface a plain error instead of a batch response.
 func (s *Store) updateBatchLocked(ctx context.Context, d *document, req api.BatchUpdateRequest) (api.BatchUpdateResponse, *pendingCommit, int, error) {
 	endLock := trace.Start(ctx, trace.StageLockWait)
 	d.mu.Lock()
 	endLock()
 	defer d.mu.Unlock()
+	if ctx.Err() != nil {
+		return api.BatchUpdateResponse{}, nil, 0, ErrTimedOut
+	}
 	if err := d.checkGeneration(req.Generation); err != nil {
 		return api.BatchUpdateResponse{}, nil, 0, err
 	}

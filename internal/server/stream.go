@@ -67,7 +67,7 @@ func (s *Store) queryFast(ctx context.Context, name, query, mode string, explain
 	if r.hit != nil {
 		count = r.hit.Count
 	} else {
-		d.cache.put(countCacheKey(query), d.gen, &api.QueryResponse{Generation: d.gen, Count: count})
+		d.cache.put(countCacheKey(query), d.gen, r.shape, &api.QueryResponse{Generation: d.gen, Count: count})
 	}
 	resp := modeResponse(d.gen, count, mode)
 	resp.Cached = r.hit != nil

@@ -19,6 +19,7 @@ const (
 	TextNode
 )
 
+// String returns "element" or "text", and Kind(n) for any other value.
 func (k Kind) String() string {
 	switch k {
 	case ElementNode:

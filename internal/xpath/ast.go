@@ -34,6 +34,8 @@ const (
 	AxisPrecedingSibling
 )
 
+// String returns the axis name as written in a query, e.g.
+// "following-sibling".
 func (a Axis) String() string {
 	switch a {
 	case AxisChild:
@@ -75,6 +77,8 @@ type Filter struct {
 	Value string // comparison value for the equality kinds
 }
 
+// String renders the filter as the predicate it was parsed from, brackets
+// included.
 func (f Filter) String() string {
 	switch f.Kind {
 	case FilterAttrExists:
@@ -96,6 +100,9 @@ type Step struct {
 	Pos     int      // positional predicate [n]; 0 when absent
 }
 
+// String renders the step in canonical form: the axis (omitted for child
+// and descendant, which the separator carries), the name test, value
+// predicates, then the positional predicate.
 func (s Step) String() string {
 	out := ""
 	switch s.Axis {
@@ -149,6 +156,8 @@ type Query struct {
 	Steps []Step
 }
 
+// String renders the query in canonical form: "/" before a child step,
+// "//" before a descendant step, and every other axis spelled out.
 func (q Query) String() string {
 	var b strings.Builder
 	for _, s := range q.Steps {

@@ -13,6 +13,7 @@ type ParseError struct {
 	Msg   string
 }
 
+// Error reports the query, the byte offset where parsing failed, and why.
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("xpath: %q at %d: %s", e.Query, e.Pos, e.Msg)
 }

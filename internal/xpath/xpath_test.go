@@ -42,6 +42,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestShapeMasksPositionsOnly pins the query-stats normalization: positional
+// predicates become [*], everything else renders canonically. Text that does
+// not parse has no Shape; labeld uses the raw text as its shape.
+func TestShapeMasksPositionsOnly(t *testing.T) {
+	cases := map[string]string{
+		"/a/b[1]":             "/a/b[*]",
+		"/a/b[7]":             "/a/b[*]",
+		"/a/b":                "/a/b",
+		"//x[3]//y[9]":        "//x[*]//y[*]",
+		"//b/following::c[2]": "//b/following::c[*]",
+	}
+	for raw, want := range cases {
+		q, err := Parse(raw)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", raw, err)
+			continue
+		}
+		if got := q.Shape(); got != want {
+			t.Errorf("Parse(%q).Shape() = %q, want %q", raw, got, want)
+		}
+	}
+	if _, err := Parse("not ( a valid ) query!"); err == nil {
+		t.Error("unparsable text parsed")
+	}
+}
+
 func TestAxisString(t *testing.T) {
 	if AxisFollowingSibling.String() != "following-sibling" || AxisChild.String() != "child" {
 		t.Error("Axis.String wrong")
