@@ -201,7 +201,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		name := strings.TrimSuffix(filepath.Base(*preload), filepath.Ext(*preload))
-		info, err := srv.Store().Load(ctx, name, api.LoadRequest{
+		// A signal during the preload stops labeld once the load is done;
+		// the store would read the cancelled context as a timed-out request.
+		info, err := srv.Store().Load(context.WithoutCancel(ctx), name, api.LoadRequest{
 			XML:        string(xml),
 			Scheme:     *scheme,
 			TrackOrder: true,

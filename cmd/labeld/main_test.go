@@ -136,6 +136,25 @@ func TestRunPreload(t *testing.T) {
 	}
 }
 
+// TestRunPreloadOutlivesSignal cancels run's context before it starts, as
+// a signal during a large preload would: the preload still completes and
+// labeld then shuts down cleanly.
+func TestRunPreloadOutlivesSignal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.xml")
+	if err := os.WriteFile(path, []byte("<c><x/><y/></c>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out strings.Builder
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-preload", path}, &out); err != nil {
+		t.Fatalf("run returned %v; output %q", err, out.String())
+	}
+	if !strings.Contains(out.String(), `preloaded "catalog"`) {
+		t.Errorf("preload message missing from output: %q", out.String())
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	// The last three are removed options: the query sharding and adaptive
 	// freezing they configured are gone, and a stale service definition

@@ -36,7 +36,10 @@ var magic = []byte("PRIMELBL\x01")
 // maxResume bounds the prime source's resume point. Every grow of the
 // source sieves with the primes up to the square root of where it stands,
 // so a resume point near 2^64 could not continue; 2^48 lies past the
-// π(2^48) ≈ 8.5×10^12 primes any document could have handed out.
+// π(2^48) ≈ 8.5×10^12 primes any document could have handed out. It also
+// bounds the SC table's spacing and high-water mark: an append takes order
+// mark−1+spacing and draws a key above it, so a far mark or spacing would
+// make the next append sieve near where no source can resume.
 const maxResume = 1 << 48
 
 // Marshal writes the labeled document to w.
@@ -195,6 +198,9 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		chunk := r.Int()
 		spacing := r.Int()
 		nextOrd := r.Int()
+		if spacing > maxResume || nextOrd > maxResume {
+			return nil, fmt.Errorf("%w: SC table spacing %d or high-water mark %d past %d", wire.ErrBadFormat, spacing, nextOrd, maxResume)
+		}
 		recordCount := r.Int()
 		if recordCount < 0 || recordCount > 1<<24 {
 			return nil, fmt.Errorf("%w: unreasonable record count", wire.ErrBadFormat)
@@ -215,14 +221,7 @@ func Unmarshal(in io.Reader) (*Labeling, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		tbl, err := order.Restore(chunk, spacing, nextOrd, records, func(min uint64) uint64 {
-			for {
-				p := l.src.Next()
-				if p > min {
-					return p
-				}
-			}
-		})
+		tbl, err := order.Restore(chunk, spacing, nextOrd, records, l.src.NextAbove)
 		if err != nil {
 			return nil, err
 		}

@@ -250,9 +250,10 @@ func TestUnmarshalRejectsTamperedLabels(t *testing.T) {
 
 // TestUnmarshalRejectsStaleAllocator tampers with the allocator state a
 // stream carries — the prime source's resume point, the reserved primes,
-// the recycling pool, the SC table's keys, orders and spacing — so that it
-// would hand out a prime or an order number the tree already uses, or 2
-// under Opt2. Each stream must be rejected; the untampered one loads.
+// the recycling pool, the SC table's keys — so that it would hand out a
+// prime the tree already uses, or 2 under Opt2, or sets the SC table's
+// spacing or high-water mark past the bound. Each stream must be rejected;
+// the untampered one loads.
 func TestUnmarshalRejectsStaleAllocator(t *testing.T) {
 	live := func(l *Labeling) uint64 {
 		return l.labels[l.doc.Root.ElementChildren()[0]].selfPrime
@@ -277,11 +278,10 @@ func TestUnmarshalRejectsStaleAllocator(t *testing.T) {
 		{"resume point below every live prime", Options{}, func(l *Labeling) {
 			resume(l, 2)
 		}, "at or above the source's next prime"},
-		{"SC orders reach the resume point", Options{TrackOrder: true}, func(l *Labeling) {
+		{"SC high-water mark past the bound", Options{TrackOrder: true}, func(l *Labeling) {
 			chunk, spacing, _, records := l.sct.Snapshot()
-			next, _, _ := l.src.SnapshotState()
-			l.sct, _ = order.Restore(chunk, spacing, int(next)+1, records, nil)
-		}, "SC table orders reach"},
+			l.sct, _ = order.Restore(chunk, spacing, maxResume+1, records, nil)
+		}, "high-water mark"},
 		{"order key another element's self-label", Options{TrackOrder: true, PowerOfTwoLeaves: true}, func(l *Labeling) {
 			var leaf *nodeLabel
 			for _, nl := range l.labels {
@@ -297,10 +297,10 @@ func TestUnmarshalRejectsStaleAllocator(t *testing.T) {
 			delete(l.labels, gone)
 			gone.Detach()
 		}, "SC table holds"},
-		{"SC spacing above every order", Options{TrackOrder: true}, func(l *Labeling) {
+		{"SC spacing past the bound", Options{TrackOrder: true}, func(l *Labeling) {
 			chunk, _, nextOrd, records := l.sct.Snapshot()
-			l.sct, _ = order.Restore(chunk, nextOrd, nextOrd, records, nil)
-		}, "SC table orders reach"},
+			l.sct, _ = order.Restore(chunk, maxResume+1, nextOrd, records, nil)
+		}, "SC table spacing"},
 		{"reserved prime in use", Options{ReservedPrimes: 2}, func(l *Labeling) {
 			next, _, _ := l.src.SnapshotState()
 			resume(l, next, live(l))
@@ -343,6 +343,87 @@ func TestUnmarshalRejectsStaleAllocator(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%s: err %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestDeletedTopOrderStaysLoadable replays updates after which the SC
+// table's high-water mark, raised by a shift after the member that set it
+// was deleted, passes the prime source's next prime. Check must accept
+// every state on the way, and the last one must survive Marshal and
+// Unmarshal, as a snapshot must.
+func TestDeletedTopOrderStaysLoadable(t *testing.T) {
+	doc := xmltree.NewDocument(xmltree.NewElement("r"))
+	for i := 0; i < 16; i++ {
+		_ = doc.Root.AppendChild(xmltree.NewElement("c"))
+	}
+	l, err := Scheme{Opts: Options{TrackOrder: true, OrderSpacing: 64}}.New(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := l.Check(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	children := doc.Root.ElementChildren()
+	if err := l.Delete(children[15]); err != nil {
+		t.Fatal(err)
+	}
+	check("deleting the last child")
+	insert := func() {
+		t.Helper()
+		if _, err := l.InsertChildAt(doc.Root, 14, xmltree.NewElement("n")); err != nil {
+			t.Fatal(err)
+		}
+		check("inserting at index 14")
+	}
+	insert()
+	if err := l.Delete(children[14]); err != nil {
+		t.Fatal(err)
+	}
+	check("deleting the fifteenth child")
+	for i := 0; i < 6; i++ {
+		insert()
+	}
+	next, _, _ := l.src.SnapshotState()
+	if top := l.sct.MaxOrder(); uint64(top) < next {
+		t.Fatalf("high-water mark %d stays below the next prime %d; the replay no longer reaches the state it pins", top, next)
+	}
+	back := roundTrip(t, l)
+	if err := labeling.CheckAgainstTree(back); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFarHighWaterMarkAppends loads a stream whose SC high-water mark sits
+// at the bound and appends under the root: the new element's key, above
+// the mark, is drawn without sieving every number below it. New refuses
+// an order spacing past the bound, and orders that reach past it.
+func TestFarHighWaterMarkAppends(t *testing.T) {
+	doc, _ := buildTree(t)
+	l, err := Scheme{Opts: Options{TrackOrder: true}}.New(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, spacing, _, records := l.sct.Snapshot()
+	if l.sct, err = order.Restore(chunk, spacing, maxResume, records, l.src.NextAbove); err != nil {
+		t.Fatal(err)
+	}
+	back := roundTrip(t, l)
+	root := back.doc.Root
+	if _, err := back.InsertChildAt(root, len(root.Children), xmltree.NewElement("n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for _, spacing := range []int{maxResume + 1, maxResume / 2} {
+		fresh, _ := buildTree(t)
+		_, err := Scheme{Opts: Options{TrackOrder: true, OrderSpacing: spacing}}.New(fresh)
+		if err == nil || !strings.Contains(err.Error(), "past") {
+			t.Errorf("New with order spacing %d: err %v, want one past the bound", spacing, err)
 		}
 	}
 }

@@ -232,6 +232,9 @@ func (s Scheme) New(doc *xmltree.Document) (*Labeling, error) {
 		return nil, ErrNotElement
 	}
 	opts := s.Opts
+	if opts.TrackOrder && opts.OrderSpacing > maxResume {
+		return nil, fmt.Errorf("prime: order spacing %d past %d", opts.OrderSpacing, maxResume)
+	}
 	var src *primes.Source
 	if opts.PowerOfTwoLeaves {
 		// Prime 2 is reserved for leaf labels: non-leaf self-labels must be
@@ -257,14 +260,7 @@ func (s Scheme) New(doc *xmltree.Document) (*Labeling, error) {
 		src.Reserve(n)
 	}
 	if opts.TrackOrder {
-		tbl, err := order.NewTableSpaced(opts.scChunk(), opts.orderSpacing(), func(min uint64) uint64 {
-			for {
-				p := l.src.Next()
-				if p > min {
-					return p
-				}
-			}
-		})
+		tbl, err := order.NewTableSpaced(opts.scChunk(), opts.orderSpacing(), src.NextAbove)
 		if err != nil {
 			return nil, err
 		}
@@ -365,15 +361,12 @@ func (l *Labeling) assignLeafSelf(n *xmltree.Node, nl *nodeLabel) {
 func (l *Labeling) trackNode(n *xmltree.Node, ord int) error {
 	nl := l.labels[n]
 	ordVal := uint64(ord) * uint64(l.opts.orderSpacing())
+	if ordVal > maxResume {
+		return fmt.Errorf("prime: order %d×%d past %d", ord, l.opts.orderSpacing(), uint64(maxResume))
+	}
 	key := nl.selfPrime
 	if key == 0 || ordVal >= key {
-		for {
-			p := l.src.Next()
-			if p > ordVal {
-				key = p
-				break
-			}
-		}
+		key = l.src.NextAbove(ordVal)
 	}
 	if err := l.sct.Append(key); err != nil {
 		return fmt.Errorf("prime: SC table append: %w", err)
@@ -688,10 +681,9 @@ func (l *Labeling) Check() error {
 // power-of-two leaves. The source hands out its next prime and every prime
 // above it, so that prime must exceed every live one; the unconsumed
 // reserved primes and the recycling pool must hold distinct primes below
-// it that are not live. Every order number ever assigned lay below its key,
-// and the first was the SC table's spacing, so the table's highest order
-// lies below the next prime and, once an order was assigned, at or above
-// the spacing.
+// it that are not live. The SC table's high-water mark may lie at or above
+// the next prime: it stays where a deleted member left it, shifts raise it
+// further, and a key drawn for an order above it comes from NextAbove.
 func (l *Labeling) checkAllocator() error {
 	live := map[uint64]bool{2: l.opts.PowerOfTwoLeaves}
 	for _, nl := range l.labels {
@@ -706,11 +698,6 @@ func (l *Labeling) checkAllocator() error {
 	}
 	delete(live, 0)
 	next, reserved, _ := l.src.SnapshotState()
-	if l.sct != nil {
-		if top := l.sct.MaxOrder(); uint64(top) >= next || top > 0 && l.sct.Spacing() > top {
-			return fmt.Errorf("prime: SC table orders reach %d with spacing %d; the source's next prime is %d", top, l.sct.Spacing(), next)
-		}
-	}
 	for p, inUse := range live {
 		if inUse && p >= next {
 			return fmt.Errorf("prime: live prime %d is at or above the source's next prime %d", p, next)

@@ -100,7 +100,7 @@ type Table struct {
 	chunk   int
 	records []*record
 	byPrime map[uint64]int // prime key -> record index
-	nextOrd int            // one past the largest order value in use
+	nextOrd int            // one past the high-water mark (see MaxOrder)
 	newKey  KeyFunc        // nil: overflow is an error
 	spacing int            // order-number spacing; 0/1 = dense (the paper)
 	// lastShift records the shift performed by the most recent successful
@@ -131,7 +131,10 @@ func (t *Table) Len() int { return len(t.byPrime) }
 // RecordCount returns the number of SC records (rows of the table).
 func (t *Table) RecordCount() int { return len(t.records) }
 
-// MaxOrder returns the largest order number in use (0 when empty).
+// MaxOrder returns the table's high-water mark: the largest order number
+// it has assigned, raised by every shift since and left in place when the
+// member that holds it is deleted (0 before any assignment). An append
+// takes MaxOrder plus the spacing.
 func (t *Table) MaxOrder() int { return t.nextOrd - 1 }
 
 // LastShift reports the order-number shift performed by the most recent
@@ -152,7 +155,7 @@ func (t *Table) Append(prime uint64) error {
 	if _, dup := t.byPrime[prime]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicatePrime, prime)
 	}
-	ord := t.maxOrd() + t.Spacing()
+	ord := t.MaxOrder() + t.Spacing()
 	if uint64(ord) >= prime {
 		return fmt.Errorf("%w: order %d, key %d", ErrOrderOverflow, ord, prime)
 	}

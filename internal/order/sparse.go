@@ -70,7 +70,7 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 	switch {
 	case nextOrder == 0:
 		// Append after the current maximum.
-		ord = t.maxOrd() + spacing
+		ord = t.MaxOrder() + spacing
 	case !exhausted:
 		// Open gap: take the midpoint, no shifting.
 		ord = prevOrder + (nextOrder-prevOrder)/2
@@ -125,6 +125,3 @@ func (t *Table) InsertBetween(prime uint64, prevOrder, nextOrder int) (recordsUp
 	t.lastShift = shift
 	return written, rekeys, nil
 }
-
-// maxOrd returns the largest live order value (0 when empty).
-func (t *Table) maxOrd() int { return t.nextOrd - 1 }

@@ -177,6 +177,24 @@ func TestSourceStartingAt(t *testing.T) {
 	}
 }
 
+// TestSourceNextAbove draws keys above a bound: inside the sieved range,
+// just past it, and far past it, where the source must sieve from the
+// bound rather than through every number below it.
+func TestSourceNextAbove(t *testing.T) {
+	s := NewSource()
+	s.Next() // 2; the first sieve covers 2..256
+	for _, c := range []struct{ min, want uint64 }{
+		{1, 3}, {10, 11}, {11, 13}, {300, 307}, {1 << 40, 1<<40 + 15}, {0, 1<<40 + 27},
+	} {
+		if got := s.NextAbove(c.min); got != c.want {
+			t.Fatalf("NextAbove(%d) = %d, want %d", c.min, got, c.want)
+		}
+	}
+	if got := s.Next(); got != 1<<40+55 {
+		t.Errorf("Next after the far draws = %d, want %d", got, uint64(1<<40+55))
+	}
+}
+
 func TestSourceNeverRepeats(t *testing.T) {
 	s := NewSource()
 	seen := map[uint64]bool{}

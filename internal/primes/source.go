@@ -102,6 +102,24 @@ func (s *Source) Next() uint64 {
 	return s.next()
 }
 
+// NextAbove returns the smallest unused prime greater than min. It passes
+// over the unused primes up to min for good, as drawing Next until a prime
+// exceeds min would, but once the sieved primes run out it sieves on from
+// min itself rather than through every number below it. Issued counts the
+// passed-over primes that were already sieved, not those it sieves past.
+func (s *Source) NextAbove(min uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if s.pos >= len(s.buf) && min > s.sievedTo {
+			s.sievedTo = min
+		}
+		if p := s.next(); p > min {
+			return p
+		}
+	}
+}
+
 // Peek returns the prime Next would return, without consuming it.
 func (s *Source) Peek() uint64 {
 	s.mu.Lock()

@@ -108,9 +108,10 @@ func holdWriteLock(t *testing.T, srv *Server, name string, hold time.Duration) <
 	return released
 }
 
-// TestDeadlineReadsBehindLock queues a query and a relation probe behind a
-// write lock held three times the request timeout: both answer 503 with
-// their trace IDs, and both the error counter and the trace record 503.
+// TestDeadlineReadsBehindLock queues a query, a relation probe, a document
+// info and the document list behind a write lock held three times the
+// request timeout: each answers 503 with its trace ID, and both the error
+// counter and the trace record 503.
 func TestDeadlineReadsBehindLock(t *testing.T) {
 	srv, c := startTracedServer(t, Config{RequestTimeout: 100 * time.Millisecond})
 	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
@@ -118,12 +119,14 @@ func TestDeadlineReadsBehindLock(t *testing.T) {
 	}
 	base := "http://" + srv.Addr() + "/docs/books"
 	type call struct {
-		endpoint, path, id string
-		body               any
+		endpoint, method, url, id string
+		body                      any
 	}
 	calls := []call{
-		{"query", "/query", "deadline-query", api.QueryRequest{XPath: "//book"}},
-		{"relation", "/relation", "deadline-relation", api.RelationRequest{Kind: api.RelAncestor, A: 0, B: 1}},
+		{"query", http.MethodPost, base + "/query", "deadline-query", api.QueryRequest{XPath: "//book"}},
+		{"relation", http.MethodPost, base + "/relation", "deadline-relation", api.RelationRequest{Kind: api.RelAncestor, A: 0, B: 1}},
+		{"get", http.MethodGet, base, "deadline-get", nil},
+		{"list", http.MethodGet, "http://" + srv.Addr() + "/docs", "deadline-list", nil},
 	}
 	released := holdWriteLock(t, srv, "books", 300*time.Millisecond)
 	var wg sync.WaitGroup
@@ -131,7 +134,7 @@ func TestDeadlineReadsBehindLock(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, hdr, body := sendTraced(t, http.MethodPost, base+cl.path, cl.id, cl.body)
+			status, hdr, body := sendTraced(t, cl.method, cl.url, cl.id, cl.body)
 			assertTimedOut(t, cl.endpoint, status, hdr, body, cl.id)
 		}()
 	}
@@ -240,6 +243,53 @@ func TestDeadlineLoadPublishesNothing(t *testing.T) {
 	}
 	if n := srv.Store().Count(); n != 0 {
 		t.Errorf("store hosts %d documents, want 0", n)
+	}
+}
+
+// expiresAfterLockCheck is a context whose deadline passes between the
+// read path's check after it takes the document lock (the first Err call)
+// and its check after evaluation.
+type expiresAfterLockCheck struct {
+	context.Context
+	calls int
+}
+
+func (c *expiresAfterLockCheck) Err() error {
+	if c.calls++; c.calls > 1 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestDeadlineAfterEvaluationIsRecorded times a query out once its
+// evaluation has finished: it returns ErrTimedOut and caches nothing, and
+// query stats count the call as failed and keep its planner profile.
+func TestDeadlineAfterEvaluationIsRecorded(t *testing.T) {
+	st := NewStore(NewMetrics(), 16)
+	ctx := context.Background()
+	if _, err := st.Load(ctx, "books", api.LoadRequest{XML: sampleXML}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query(&expiresAfterLockCheck{Context: ctx}, "books", "//book"); !errors.Is(err, ErrTimedOut) {
+		t.Fatalf("query whose deadline passed during evaluation: err %v, want ErrTimedOut", err)
+	}
+	entries := st.QueryStats().Snapshot("books", 0).Entries
+	if len(entries) != 1 {
+		t.Fatalf("query stats hold %d entries, want 1: %+v", len(entries), entries)
+	}
+	e := entries[0]
+	if e.Shape != "//book" || e.Calls != 1 || e.Errors != 1 || e.CacheHits != 0 {
+		t.Errorf("%q: %d calls, %d errors, %d hits; want //book, 1, 1, 0", e.Shape, e.Calls, e.Errors, e.CacheHits)
+	}
+	if e.SlowProfile == nil || e.SlowProfile.Candidates == 0 {
+		t.Errorf("slow profile %+v, want the evaluation's planner profile", e.SlowProfile)
+	}
+	resp, err := st.Query(ctx, "books", "//book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cached {
+		t.Error("the timed-out evaluation's answer was cached")
 	}
 }
 

@@ -529,6 +529,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	infos := s.store.List()
+	if r.Context().Err() != nil {
+		// The deadline passed while List waited for a document's lock.
+		writeError(w, ErrTimedOut)
+		return
+	}
 	for i := range infos {
 		s.decorateReplicaInfo(&infos[i])
 	}
@@ -553,6 +558,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	info, err := s.store.Info(r.PathValue("name"))
+	if err == nil && r.Context().Err() != nil {
+		err = ErrTimedOut // the deadline passed while Info waited for the lock
+	}
 	if err != nil {
 		writeError(w, err)
 		return

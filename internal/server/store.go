@@ -430,9 +430,11 @@ type queryRead struct {
 // one miss per query, however many keys it probes. On a miss it parses and
 // evaluates the query (xpath_eval span) and builds the planner profile; a
 // parse or evaluation error is recorded into query stats and returned. A
-// ctx that is done once the lock is taken, or once evaluation ends, returns
-// ErrTimedOut. Unless it returns an error, beginRead returns with r.d.mu
-// read-locked: the caller serves the answer, calls finishRead, and unlocks.
+// ctx that is done once the lock is taken returns ErrTimedOut; so does one
+// done once evaluation ends, after query stats record the call as failed
+// with its profile. Unless it returns an error, beginRead returns with
+// r.d.mu read-locked: the caller serves the answer, calls finishRead, and
+// unlocks.
 func (s *Store) beginRead(ctx context.Context, name, query string, explain bool, mode *atomic.Uint64, keys ...string) (queryRead, error) {
 	if query == "" {
 		return queryRead{}, fmt.Errorf("%w: empty xpath", ErrBadRequest)
@@ -488,10 +490,6 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 		})
 		return queryRead{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if ctx.Err() != nil {
-		d.mu.RUnlock()
-		return queryRead{}, ErrTimedOut
-	}
 	// Every miss carries the planner summary (the query-stats registry
 	// attaches it to a shape's slowest call); step detail only when the
 	// caller asked for explain.
@@ -503,6 +501,16 @@ func (s *Store) beginRead(ctx context.Context, name, query string, explain bool,
 	}
 	if explain {
 		r.profile.Steps = explainSteps(ex)
+	}
+	if ctx.Err() != nil {
+		// The evaluation outlasted the deadline: query stats count the
+		// call as failed and keep its profile, so the slow shape shows.
+		d.mu.RUnlock()
+		s.querystats.Record(querystats.Sample{
+			Doc: name, Shape: r.shape, Latency: time.Since(r.start),
+			Candidates: stats.Candidates, Err: true, Profile: r.profile,
+		})
+		return queryRead{}, ErrTimedOut
 	}
 	return r, nil
 }
