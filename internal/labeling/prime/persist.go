@@ -37,9 +37,11 @@ var magic = []byte("PRIMELBL\x01")
 // source sieves with the primes up to the square root of where it stands,
 // so a resume point near 2^64 could not continue; 2^48 lies past the
 // π(2^48) ≈ 8.5×10^12 primes any document could have handed out. It also
-// bounds the SC table's spacing and high-water mark: an append takes order
-// mark−1+spacing and draws a key above it, so a far mark or spacing would
-// make the next append sieve near where no source can resume.
+// bounds the SC table's spacing and high-water mark, since an append takes
+// order mark−1+spacing and draws a key above it. Updates keep the mark
+// below the next prime plus spacing × the shifts since the last append,
+// so a labeling passes the bound only after its keys do, or after
+// 2^48/spacing shifts with no append between them.
 const maxResume = 1 << 48
 
 // Marshal writes the labeled document to w.
